@@ -24,16 +24,8 @@ from .cyclic import (
     gale_leq,
     gale_max,
     gale_min,
-    interval_members,
 )
-from .decorated import (
-    DecoratedPermutation,
-    GrassmannMatrix,
-    GrassmannNecklace,
-    shift_interval,
-    uniform_dp,
-    validate,
-)
+from .decorated import DecoratedPermutation, GrassmannNecklace, shift_interval, uniform_dp
 from .enumeration import (
     CensusRecord,
     all_decorated_permutations,
@@ -43,13 +35,7 @@ from .enumeration import (
     elementary_flag_pairs,
 )
 from .lpm import Lpm, lpm_bases, lpm_quotient_containment, lpm_quotient_greedy
-from .matroids import (
-    Matroid,
-    bases_from_necklace,
-    positroid_of,
-    uniform_matroid,
-    validate_matroid,
-)
+from .matroids import Matroid, bases_from_necklace, positroid_of, uniform_matroid
 from .quotients import (
     QuotientVerdict,
     containment_check,
@@ -68,7 +54,6 @@ __all__ = [
     "CensusRecord",
     "CyclicInterval",
     "DecoratedPermutation",
-    "GrassmannMatrix",
     "GrassmannNecklace",
     "Lpm",
     "Matroid",
@@ -92,7 +77,6 @@ __all__ = [
     "gale_leq",
     "gale_max",
     "gale_min",
-    "interval_members",
     "is_quotient_circuits",
     "is_quotient_of_uniform",
     "is_quotient_rank",
@@ -109,8 +93,6 @@ __all__ = [
     "uniform_dp",
     "uniform_elementary_check",
     "uniform_matroid",
-    "validate",
-    "validate_matroid",
     "verify_ccw_rank_partition",
 ]
 

@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="write a census as JSON lines")
     p.add_argument("--what", choices=("dps", "positroids", "lpms", "flag-pairs"), required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="rank; every rank when omitted")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None, help="output path, or - for stdout")
     p.set_defaults(fn=_cmd_enumerate)

@@ -100,6 +100,21 @@ def _pos_key(i: int, s: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted(cyclic_pos(i, x, n) for x in s))
 
 
+def _gale_extremum(i: int, family: Iterable[Iterable[int]], n: int, maximum: bool) -> frozenset[int]:
+    check_ground(n)
+    check_element(i, n)
+    fam = [frozenset(s) for s in family]
+    word = "maximum" if maximum else "minimum"
+    if not fam:
+        raise ValueError(f"Gale {word} of an empty family")
+    candidate = (max if maximum else min)(fam, key=lambda s: _pos_key(i, s, n))
+    for other in fam:
+        low, high = (other, candidate) if maximum else (candidate, other)
+        if not gale_leq(i, low, high, n):
+            raise ValueError(f"family has no Gale {word} under <_{i}; not a matroid basis family")
+    return candidate
+
+
 def gale_min(i: int, family: Iterable[Iterable[int]], n: int) -> frozenset[int]:
     """The unique <=_i-minimum of the family, when one exists.
 
@@ -108,30 +123,12 @@ def gale_min(i: int, family: Iterable[Iterable[int]], n: int) -> frozenset[int]:
     against every member.  A family with no minimum (which a matroid basis
     family can never be) raises ValueError.
     """
-    check_ground(n)
-    check_element(i, n)
-    fam = [frozenset(s) for s in family]
-    if not fam:
-        raise ValueError("gale_min of an empty family")
-    candidate = min(fam, key=lambda s: _pos_key(i, s, n))
-    for other in fam:
-        if not gale_leq(i, candidate, other, n):
-            raise ValueError(f"family has no Gale minimum under <_{i}; not a matroid basis family")
-    return candidate
+    return _gale_extremum(i, family, n, maximum=False)
 
 
 def gale_max(i: int, family: Iterable[Iterable[int]], n: int) -> frozenset[int]:
     """The unique <=_i-maximum of the family, when one exists (see gale_min)."""
-    check_ground(n)
-    check_element(i, n)
-    fam = [frozenset(s) for s in family]
-    if not fam:
-        raise ValueError("gale_max of an empty family")
-    candidate = max(fam, key=lambda s: _pos_key(i, s, n))
-    for other in fam:
-        if not gale_leq(i, other, candidate, n):
-            raise ValueError(f"family has no Gale maximum under <_{i}; not a matroid basis family")
-    return candidate
+    return _gale_extremum(i, family, n, maximum=True)
 
 
 @dataclass(frozen=True)
@@ -203,6 +200,11 @@ class CyclicInterval:
         return m
 
     def members(self) -> frozenset[int]:
+        """Explicit member set; arcs may wrap past n.
+
+        >>> sorted(CyclicInterval.arc(7, 6, 3).members())
+        [1, 2, 3, 6, 7]
+        """
         return members_of(self.mask)
 
     def __contains__(self, x: int) -> bool:
@@ -226,15 +228,6 @@ class CyclicInterval:
         if kind == FULL:
             return cls.full(n)
         raise ValueError(f"bad cyclic interval payload: {obj!r}")
-
-
-def interval_members(interval: CyclicInterval) -> frozenset[int]:
-    """Explicit member set of a cyclic interval.
-
-    >>> sorted(interval_members(CyclicInterval.arc(7, 6, 3)))
-    [1, 2, 3, 6, 7]
-    """
-    return interval.members()
 
 
 def cyclic_components(members: Iterable[int], n: int) -> list[CyclicInterval]:

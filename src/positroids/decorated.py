@@ -96,25 +96,6 @@ class GrassmannNecklace:
 
 
 @dataclass(frozen=True)
-class GrassmannMatrix:
-    """The n x n 0/1 matrix whose i-th row is the indicator of the Grassmann
-    interval S_i; its j-th column is then the indicator of necklace entry I_j,
-    so every column sums to the rank."""
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i - 1]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j - 1] for r in self.rows)
-
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.rows))
-
-
-@dataclass(frozen=True)
 class DecoratedPermutation:
     """perm[i-1] is the image of position i; col[i-1] is its colour.
 
@@ -185,9 +166,6 @@ class DecoratedPermutation:
         entries = tuple(self.anti_exceedances(i) for i in range(1, self.n + 1))
         return GrassmannNecklace(self.n, len(entries[0]), entries)
 
-    def to_necklace(self) -> GrassmannNecklace:
-        return self.necklace
-
     @cached_property
     def conecklace(self) -> GrassmannNecklace:
         """J_i = perm^{-1}(I_i), entry by entry."""
@@ -210,12 +188,12 @@ class DecoratedPermutation:
     def grassmann_interval_masks(self) -> tuple[int, ...]:
         return tuple(self.grassmann_interval(i).mask for i in range(1, self.n + 1))
 
-    def grassmann_matrix(self) -> GrassmannMatrix:
+    def grassmann_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n 0/1 matrix as a tuple of rows: row i is the indicator of
+        the Grassmann interval S_i, so column j is the indicator of necklace
+        entry I_j and every column sums to the rank."""
         n = self.n
-        rows = tuple(
-            tuple(mask >> j & 1 for j in range(n)) for mask in self.grassmann_interval_masks
-        )
-        return GrassmannMatrix(n, rows)
+        return tuple(tuple(mask >> j & 1 for j in range(n)) for mask in self.grassmann_interval_masks)
 
     def dual(self) -> "DecoratedPermutation":
         """The decorated permutation (perm^{-1}, -col) of the dual positroid."""
@@ -250,7 +228,7 @@ class DecoratedPermutation:
 
     @classmethod
     def from_necklace(cls, necklace: GrassmannNecklace) -> "DecoratedPermutation":
-        """Inverse of ``to_necklace``; raises ValueError on an axiom violation."""
+        """Inverse of the ``necklace`` property; raises ValueError on an axiom violation."""
         bad = necklace._axiom_violation()
         if bad is not None:
             raise ValueError(f"not a Grassmann necklace: {bad}")
@@ -306,10 +284,6 @@ class DecoratedPermutation:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def validate(dp: DecoratedPermutation) -> bool:
-    return dp.is_valid()
 
 
 def uniform_dp(k: int, n: int) -> DecoratedPermutation:

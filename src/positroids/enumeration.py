@@ -76,9 +76,7 @@ def elementary_flag_pairs(
         m_sigma = positroid_of(sigma)
         for pi in pis:
             if is_quotient_rank(m_sigma, positroid_of(pi)):
-                shift_set = recover_shift_set(pi, sigma)
-                assert pi.cyclic_shift(shift_set) == sigma
-                yield sigma, pi, shift_set
+                yield sigma, pi, recover_shift_set(pi, sigma)
 
 
 @dataclass(frozen=True)
@@ -94,41 +92,43 @@ class CensusRecord:
 
 
 def census_records(what: str, k: Optional[int], n: int, max_n: Optional[int] = None) -> Iterator[CensusRecord]:
-    """JSON-lines-ready records for the CLI; one record per enumerated object."""
+    """JSON-lines-ready records for the CLI; one record per enumerated object.
+
+    ``k=None`` means every rank, rank-major: 0..n for positroids and LPMs,
+    1..n for flag pairs.  Decorated permutations always come in one
+    lexicographic pass, restricted to rank k when k is given.
+    """
     if what == "dps":
         for dp in all_decorated_permutations(n, max_n):
-            yield CensusRecord(n, dp.rank, {"dp": dp.to_text()})
-    elif what == "positroids":
-        if k is None:
-            raise ValueError("--k is required for positroids")
-        for dp in all_decorated_permutations(n, max_n):
-            if dp.rank != k:
-                continue
-            m = positroid_of(dp)
-            yield CensusRecord(
-                n,
-                k,
-                {
-                    "dp": dp.to_text(),
-                    "necklace": dp.necklace.to_json()["entries"],
-                    "basis_count": len(m.bases),
-                },
-            )
-    elif what == "lpms":
-        if k is None:
-            raise ValueError("--k is required for lpms")
-        for p in all_lpms(k, n, max_n):
-            yield CensusRecord(
-                n, k, {"U": sorted(p.U), "L": sorted(p.L), "basis_count": len(lpm_bases(p).bases)}
-            )
-    elif what == "flag-pairs":
-        if k is None:
-            raise ValueError("--k is required for flag-pairs")
-        for sigma, pi, shift_set in elementary_flag_pairs(k, n, max_n):
-            yield CensusRecord(
-                n,
-                k,
-                {"pi": pi.to_text(), "sigma": sigma.to_text(), "shift_set": sorted(shift_set)},
-            )
-    else:
+            if k is None or dp.rank == k:
+                yield CensusRecord(n, dp.rank, {"dp": dp.to_text()})
+        return
+    if what not in ("positroids", "lpms", "flag-pairs"):
         raise ValueError(f"unknown census kind {what!r}")
+    for rank in [k] if k is not None else range(1 if what == "flag-pairs" else 0, n + 1):
+        if what == "positroids":
+            for dp in all_decorated_permutations(n, max_n):
+                if dp.rank != rank:
+                    continue
+                m = positroid_of(dp)
+                yield CensusRecord(
+                    n,
+                    rank,
+                    {
+                        "dp": dp.to_text(),
+                        "necklace": dp.necklace.to_json()["entries"],
+                        "basis_count": len(m.bases),
+                    },
+                )
+        elif what == "lpms":
+            for p in all_lpms(rank, n, max_n):
+                yield CensusRecord(
+                    n, rank, {"U": sorted(p.U), "L": sorted(p.L), "basis_count": len(lpm_bases(p).bases)}
+                )
+        else:
+            for sigma, pi, shift_set in elementary_flag_pairs(rank, n, max_n):
+                yield CensusRecord(
+                    n,
+                    rank,
+                    {"pi": pi.to_text(), "sigma": sigma.to_text(), "shift_set": sorted(shift_set)},
+                )

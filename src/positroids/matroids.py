@@ -175,10 +175,6 @@ class Matroid:
         return cls(obj["n"], [frozenset(b) for b in obj["bases"]])
 
 
-def validate_matroid(m: Matroid) -> bool:
-    return m.is_valid()
-
-
 def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
     """B(I) = { B in C([n], k) : I_i <=_i B for all i }, the positroid of I.
 

@@ -83,6 +83,17 @@ def naive_gale_leq(i, a, b, n) -> bool:
     return all(order.index(x) <= order.index(y) for x, y in zip(sa, sb))
 
 
+def interval_containment(sigma: DecoratedPermutation, pi: DecoratedPermutation) -> tuple[bool, bool]:
+    """``containment_check`` recomputed through Grassmann intervals:
+    S^sigma_i inside S^pi_i for the necklace, and S^sigma_{sigma(i)} inside
+    S^pi_{pi(i)} for the conecklace."""
+    s_sigma = sigma.grassmann_interval_masks
+    s_pi = pi.grassmann_interval_masks
+    neck = all(a & ~b == 0 for a, b in zip(s_sigma, s_pi))
+    coneck = all(s_sigma[sigma(i) - 1] & ~s_pi[pi(i) - 1] == 0 for i in range(1, pi.n + 1))
+    return neck, coneck
+
+
 # -- labeled matroid census ------------------------------------------------------
 
 def _matroid_family_masks(n: int, k: int) -> list[tuple[int, ...]]:
@@ -163,6 +174,10 @@ def all_matroids(n: int) -> list[Matroid]:
 
 # -- the rank-gap-1 pair sweep ---------------------------------------------------
 
+# Largest n at which every rank-gap pair also runs both containment routes.
+CONTAINMENT_ROUTE_MAX_N = 5
+
+
 @dataclass
 class GapSweep:
     n: int
@@ -172,6 +187,8 @@ class GapSweep:
     cover_mismatches: list = field(default_factory=list)
     shift_cover_mismatches: list = field(default_factory=list)
     containment_failures: list = field(default_factory=list)
+    containment_route_checks: int = 0
+    containment_route_mismatches: list = field(default_factory=list)
     replay_failures: list = field(default_factory=list)
 
 
@@ -194,6 +211,8 @@ def run_gap_sweep(n: int, dps: list[DecoratedPermutation]) -> GapSweep:
     * whether exists_shift agrees with entrywise necklace containment,
     * whether the disjoint shift-interval cover agrees with containment and
       with the existence of a shift,
+    * for n <= CONTAINMENT_ROUTE_MAX_N: whether containment_check agrees with
+      the Grassmann-interval route (interval_containment),
     * for flag pairs: containment_check == (True, True) and the conecklace
       recovery replays to sigma.
     """
@@ -218,6 +237,10 @@ def run_gap_sweep(n: int, dps: list[DecoratedPermutation]) -> GapSweep:
                     sweep.cover_mismatches.append((sigma, pi))
                 if cover != (witness is not None):
                     sweep.shift_cover_mismatches.append((sigma, pi))
+                if n <= CONTAINMENT_ROUTE_MAX_N:
+                    sweep.containment_route_checks += 1
+                    if containment_check(sigma, pi) != interval_containment(sigma, pi):
+                        sweep.containment_route_mismatches.append((sigma, pi))
                 if is_quotient_rank(m_sigma, positroid_of(pi)):
                     if containment_check(sigma, pi) != (True, True):
                         sweep.containment_failures.append((sigma, pi))

@@ -163,11 +163,13 @@ def test_criterion_6_bijection_and_matrix_laws(dps):
     columns = 0
     for n in range(1, 8):
         for dp in dps(n):
-            matrix = dp.grassmann_matrix()
+            rows = dp.grassmann_matrix()
             entries = dp.necklace.entries
-            for j in range(1, n + 1):
-                col = frozenset(i for i in range(1, n + 1) if matrix.rows[i - 1][j - 1])
-                if col != entries[j - 1] or sum(matrix.column(j)) != dp.rank:
+            if len(rows) != n or any(len(row) != n for row in rows):
+                problems.append(("matrix-shape", dp.to_text()))
+            for j, column in enumerate(zip(*rows), start=1):
+                col = frozenset(i for i, bit in enumerate(column, start=1) if bit)
+                if col != entries[j - 1] or sum(column) != dp.rank:
                     problems.append(("matrix-column", dp.to_text(), j))
             columns += n
     conecklaces = 0

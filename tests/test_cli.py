@@ -179,6 +179,26 @@ class TestEnumerate:
         assert code == 0
         assert len(out.splitlines()) == 5
 
+    def test_k_filters_dps(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--what", "dps", "--k", "2", "--n", "3")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        ranks = [dp.rank for dp in __import__("positroids").all_decorated_permutations(3)]
+        assert len(records) == ranks.count(2) > 0
+        assert all(r["k"] == 2 for r in records)
+
+    @pytest.mark.parametrize("what, n, ranks", [("flag-pairs", 4, range(1, 5)), ("positroids", 4, range(0, 5))])
+    def test_omitted_k_concatenates_every_rank(self, capsys, what, n, ranks):
+        code, everything, _ = run(capsys, "enumerate", "--what", what, "--n", str(n))
+        assert code == 0
+        per_rank = ""
+        for k in ranks:
+            code, out, _ = run(capsys, "enumerate", "--what", what, "--k", str(k), "--n", str(n))
+            assert code == 0
+            per_rank += out
+        assert everything == per_rank
+        assert everything
+
     def test_bound_rejected_without_env(self, capsys, monkeypatch):
         monkeypatch.delenv("POSITROID_MAX_N", raising=False)
         code, _, err = run(capsys, "enumerate", "--what", "dps", "--n", "9")

@@ -12,7 +12,6 @@ from positroids.cyclic import (
     gale_leq,
     gale_max,
     gale_min,
-    interval_members,
     mask_of,
     members_of,
 )
@@ -128,18 +127,18 @@ class TestGaleMinMax:
 
 class TestCyclicInterval:
     def test_wraparound_members(self):
-        assert interval_members(CyclicInterval.arc(7, 6, 3)) == {6, 7, 1, 2, 3}
+        assert CyclicInterval.arc(7, 6, 3).members() == {6, 7, 1, 2, 3}
 
     def test_empty_and_full(self):
-        assert interval_members(CyclicInterval.empty(5)) == frozenset()
-        assert interval_members(CyclicInterval.full(5)) == {1, 2, 3, 4, 5}
+        assert CyclicInterval.empty(5).members() == frozenset()
+        assert CyclicInterval.full(5).members() == {1, 2, 3, 4, 5}
 
     def test_paper_style_wrap_on_nine(self):
-        assert interval_members(CyclicInterval.arc(9, 9, 2)) == {9, 1, 2}
+        assert CyclicInterval.arc(9, 9, 2).members() == {9, 1, 2}
 
     def test_half_open_convention(self):
         assert CyclicInterval.half_open(6, 4, 4).kind == "empty"
-        assert interval_members(CyclicInterval.half_open(6, 5, 1)) == {6, 1}
+        assert CyclicInterval.half_open(6, 5, 1).members() == {6, 1}
 
     def test_cardinality_formula_exhaustive(self):
         for n in range(1, 9):
@@ -147,12 +146,12 @@ class TestCyclicInterval:
                 for b in range(1, n + 1):
                     iv = CyclicInterval.arc(n, a, b)
                     assert len(iv) == (b - a) % n + 1
-                    assert len(iv) == len(interval_members(iv))
+                    assert len(iv) == len(iv.members())
 
     def test_membership_matches_members(self):
         iv = CyclicInterval.arc(8, 7, 2)
         for x in range(1, 9):
-            assert (x in iv) == (x in interval_members(iv))
+            assert (x in iv) == (x in iv.members())
 
     def test_json_round_trip(self):
         for iv in (CyclicInterval.empty(6), CyclicInterval.full(6), CyclicInterval.arc(6, 5, 2)):
@@ -187,7 +186,7 @@ class TestCyclicComponents:
                 comps = cyclic_components(members, n)
                 rebuilt = set()
                 for c in comps:
-                    part = interval_members(c)
+                    part = c.members()
                     assert not rebuilt & part, "parts must be disjoint"
                     rebuilt |= part
                 assert rebuilt == set(members)

@@ -127,5 +127,9 @@ class TestCensusRecords:
             list(census_records("widgets", 1, 3))
 
     def test_missing_k(self):
+        # rank-major: ranks 0..n, or 1..n for flag pairs
+        for what, first in (("positroids", 0), ("lpms", 0), ("flag-pairs", 1)):
+            per_rank = [r.to_json() for k in range(first, 4) for r in census_records(what, k, 3)]
+            assert [r.to_json() for r in census_records(what, None, 3)] == per_rank
         with pytest.raises(ValueError):
-            list(census_records("positroids", None, 3))
+            next(census_records("positroids", None, 9))

@@ -10,7 +10,6 @@ from positroids import (
     positroid_of,
     uniform_dp,
     uniform_matroid,
-    validate_matroid,
 )
 
 P5 = Matroid(5, [{1, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 4, 5}, {1, 3, 4, 5}])
@@ -18,17 +17,17 @@ P5 = Matroid(5, [{1, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 4, 5}, {1, 3, 4, 5}])
 
 class TestValidation:
     def test_example_is_a_matroid(self):
-        assert validate_matroid(P5)
+        assert P5.is_valid()
 
     def test_rank_zero_matroid(self):
-        assert validate_matroid(Matroid(3, [frozenset()]))
+        assert Matroid(3, [frozenset()]).is_valid()
 
     def test_exchange_failure(self):
         # take x = 1 in {1,2} \ {3,4}: neither {2,3} nor {2,4} is a basis
-        assert not validate_matroid(Matroid(4, [{1, 2}, {3, 4}]))
+        assert not Matroid(4, [{1, 2}, {3, 4}]).is_valid()
 
     def test_non_equicardinal(self):
-        assert not validate_matroid(Matroid(3, [{1}, {1, 2}]))
+        assert not Matroid(3, [{1}, {1, 2}]).is_valid()
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,7 @@ class TestRecoverShiftSet:
 class TestContainmentCheck:
     def test_counterexample_passes_containment(self):
         assert containment_check(DP_CEX, uniform_dp(4, 6)) == (True, True)
+        assert support.interval_containment(DP_CEX, uniform_dp(4, 6)) == (True, True)
         assert not is_quotient_rank(positroid_of(DP_CEX), uniform_matroid(4, 6))
 
     def test_reflexive(self):
@@ -222,6 +223,7 @@ class TestContainmentCheck:
             lpm_bases(Lpm(7, {1, 4, 5}, {4, 6, 7})).grassmann_necklace()
         )
         assert containment_check(sub, sup) == (True, False)
+        assert support.interval_containment(sub, sup) == (True, False)
 
     def test_ground_mismatch(self):
         with pytest.raises(ValueError):
@@ -231,6 +233,11 @@ class TestContainmentCheck:
         for n in range(1, 6):
             assert gap_sweep(n).containment_failures == []
 
+    def test_agrees_with_interval_route_on_gap_pairs(self, gap_sweep):
+        for n in range(1, support.CONTAINMENT_ROUTE_MAX_N + 1):
+            sweep = gap_sweep(n)
+            assert sweep.containment_route_checks == sweep.pairs > 0
+            assert sweep.containment_route_mismatches == []
 
 class TestUniformElementary:
     def test_worked_true(self):
