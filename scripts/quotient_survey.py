@@ -7,6 +7,9 @@ shift-set sizes.  A compact end-to-end exercise of the enumeration,
 quotient, and shift-recovery machinery.
 
     python scripts/quotient_survey.py --n 5
+
+An argument the library refuses (such as an n above the flag-pair bound)
+prints ``error: ...`` to stderr and exits 2, as the ``positroids`` CLI does.
 """
 import argparse
 import sys
@@ -20,8 +23,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=5)
     args = parser.parse_args()
-    n = args.n
+    try:
+        survey(args.n)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def survey(n: int) -> None:
     ranks = Counter(dp.rank for dp in all_decorated_permutations(n))
     print(f"decorated permutations on [{n}]: {sum(ranks.values())}")
     for k in range(n + 1):
@@ -37,7 +47,6 @@ def main() -> int:
         dist = ", ".join(f"|A|={s}: {c}" for s, c in sorted(sizes.items()))
         print(f"elementary flag pairs with rank(pi)={k}: {pairs}  ({dist})")
     print(f"done in {time.perf_counter() - start:.2f}s", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":

@@ -67,6 +67,11 @@ class GrassmannNecklace:
     def masks(self) -> tuple[int, ...]:
         return tuple(mask_of(e, self.n) for e in self.entries)
 
+    @cached_property
+    def _packed(self) -> int:
+        """Every entry mask in one int, entry i in bits n*(i-1) .. n*i - 1."""
+        return sum(mask << (self.n * i) for i, mask in enumerate(self.masks))
+
     def satisfies_axioms(self) -> bool:
         return self._axiom_violation() is None
 
@@ -81,10 +86,11 @@ class GrassmannNecklace:
         return None
 
     def contains_entrywise(self, other: "GrassmannNecklace") -> bool:
-        """Whether other's entries are contained in self's, entry by entry."""
+        """Whether other's entries are contained in self's, entry by entry
+        (one test on the packed entry masks)."""
         if other.n != self.n:
             raise ValueError("ground-set mismatch")
-        return all(o & ~s == 0 for o, s in zip(other.masks, self.masks))
+        return other._packed & ~self._packed == 0
 
     def to_json(self) -> dict:
         return {"k": self.k, "entries": [sorted(e) for e in self.entries]}

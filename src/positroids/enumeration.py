@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .lpm import Lpm, lpm_bases
 from .matroids import Matroid, positroid_of
-from .quotients import is_quotient_rank, recover_shift_set
+from .quotients import containment_check, is_quotient_rank, recover_shift_set
 
 DEFAULT_MAX_N = 8
 FLAG_PAIR_MAX_N = 6
@@ -66,16 +66,28 @@ def elementary_flag_pairs(
 ) -> Iterator[tuple[DecoratedPermutation, DecoratedPermutation, frozenset[int]]]:
     """All (sigma, pi, A) with rank(pi) = k, rank(sigma) = k - 1, the
     positroid of sigma an elementary quotient of the positroid of pi, and A
-    the recovered shift set: cyclic_shift(pi, A) == sigma always holds."""
+    the recovered shift set: cyclic_shift(pi, A) == sigma always holds.
+
+    Necklace and conecklace containment is necessary for a two-step flag
+    positroid but not sufficient (arXiv:2311.05340: 2 6 1 5 3 4 below the
+    rotation of U_{4,6} passes both), so it only filters the pairs; the
+    rank oracle decides the ones that pass.  Output is sigma-major in the
+    lexicographic order of all_decorated_permutations.
+    """
     _check_bound(n, max_n, FLAG_PAIR_MAX_N, "flag pair")
     if not 1 <= k <= n:
         raise ValueError(f"rank {k} out of range 1..{n}")
-    pis = [dp for dp in all_decorated_permutations(n, max_n) if dp.rank == k]
-    sigmas = [dp for dp in all_decorated_permutations(n, max_n) if dp.rank == k - 1]
+    pis, sigmas = [], []
+    for dp in all_decorated_permutations(n, max_n):
+        if dp.rank == k:
+            pis.append(dp)
+        elif dp.rank == k - 1:
+            sigmas.append(dp)
     for sigma in sigmas:
-        m_sigma = positroid_of(sigma)
         for pi in pis:
-            if is_quotient_rank(m_sigma, positroid_of(pi)):
+            if not all(containment_check(sigma, pi)):
+                continue
+            if is_quotient_rank(positroid_of(sigma), positroid_of(pi)):
                 yield sigma, pi, recover_shift_set(pi, sigma)
 
 
@@ -96,31 +108,41 @@ def census_records(what: str, k: Optional[int], n: int, max_n: Optional[int] = N
 
     ``k=None`` means every rank, rank-major: 0..n for positroids and LPMs,
     1..n for flag pairs.  Decorated permutations always come in one
-    lexicographic pass, restricted to rank k when k is given.
+    lexicographic pass, restricted to rank k when k is given.  A given k
+    outside that range raises ValueError.
     """
+    if what not in ("dps", "positroids", "lpms", "flag-pairs"):
+        raise ValueError(f"unknown census kind {what!r}")
+    lowest = 1 if what == "flag-pairs" else 0
+    if k is not None and not lowest <= k <= n:
+        raise ValueError(f"rank {k} out of range {lowest}..{n}")
     if what == "dps":
         for dp in all_decorated_permutations(n, max_n):
             if k is None or dp.rank == k:
                 yield CensusRecord(n, dp.rank, {"dp": dp.to_text()})
         return
-    if what not in ("positroids", "lpms", "flag-pairs"):
-        raise ValueError(f"unknown census kind {what!r}")
-    for rank in [k] if k is not None else range(1 if what == "flag-pairs" else 0, n + 1):
-        if what == "positroids":
-            for dp in all_decorated_permutations(n, max_n):
-                if dp.rank != rank:
-                    continue
-                m = positroid_of(dp)
-                yield CensusRecord(
-                    n,
-                    rank,
-                    {
-                        "dp": dp.to_text(),
-                        "necklace": dp.necklace.to_json()["entries"],
-                        "basis_count": len(m.bases),
-                    },
-                )
-        elif what == "lpms":
+    if what == "positroids":
+        dps = all_decorated_permutations(n, max_n)
+        if k is None:
+            # one pass, grouped by rank; the sort is stable, so each rank
+            # keeps the lexicographic order
+            dps = sorted(dps, key=lambda dp: dp.rank)
+        for dp in dps:
+            if k is not None and dp.rank != k:
+                continue
+            m = positroid_of(dp)
+            yield CensusRecord(
+                n,
+                dp.rank,
+                {
+                    "dp": dp.to_text(),
+                    "necklace": dp.necklace.to_json()["entries"],
+                    "basis_count": len(m.bases),
+                },
+            )
+        return
+    for rank in [k] if k is not None else range(lowest, n + 1):
+        if what == "lpms":
             for p in all_lpms(rank, n, max_n):
                 yield CensusRecord(
                     n, rank, {"U": sorted(p.U), "L": sorted(p.L), "basis_count": len(lpm_bases(p).bases)}

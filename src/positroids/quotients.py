@@ -1,14 +1,16 @@
 """Quotient criteria for matroids and positroids.
 
-Two brute-force oracles (the rank inequality and the circuit-union
-definition), the fast CW-arrow criterion for quotients of uniform matroids,
-cyclic-shift recovery for elementary quotient pairs, necklace and
-conecklace containment checks, and the CCW covering condition.
+Two exact oracles (the rank inequality, checked on covering pairs, and the
+circuit-union definition), the fast CW-arrow criterion for quotients of
+uniform matroids, cyclic-shift recovery for elementary quotient pairs,
+necklace and conecklace containment checks, and the CCW covering condition.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .arrows import _ccw_masks, _cw_masks
@@ -41,17 +43,55 @@ def _check_same_ground(m: Matroid, n: Matroid) -> None:
         raise ValueError(f"ground-set mismatch: {m.n} vs {n.n}")
 
 
+@lru_cache(maxsize=16)
+def _covering_masks(n: int) -> tuple[tuple[int, int, int], ...]:
+    """For each element x, over a table of 2^n one-byte fields indexed by
+    subset mask: the shift that moves field S - x onto field S, and the value
+    bits (0x7F) and guard bits (0x80) of the fields S that contain x."""
+    out = []
+    for i in range(n):
+        h = 1 << i
+        blocks = (1 << n) >> (i + 1)
+        values = int.from_bytes((bytes(h) + b"\x7f" * h) * blocks, "little")
+        guards = int.from_bytes((bytes(h) + b"\x80" * h) * blocks, "little")
+        out.append((8 * h, values, guards))
+    return tuple(out)
+
+
+def _gap_is_monotone(rm: list[int], rn: list[int], n: int) -> bool:
+    """Whether gap = rn - rm never decreases along a covering pair (S - x, S).
+
+    The gaps (0..n, so below 0x80) are packed one byte per subset.  For each
+    x, one subtraction compares every field S containing x with field S - x
+    at once: the guard bit above field S survives exactly when
+    gap(S - x) <= gap(S), and no borrow crosses a field.
+    """
+    try:
+        packed = int.from_bytes(bytes(map(operator.sub, rn, rm)), "little")
+    except ValueError:  # a negative gap lies below gap(empty set) = 0
+        return False
+    for shift, values, guards in _covering_masks(n):
+        if (((packed & values) | guards) - ((packed << shift) & values)) & guards != guards:
+            return False
+    return True
+
+
 def is_quotient_rank(m: Matroid, n: Matroid) -> QuotientVerdict:
     """Whether m is a quotient of n: rk_m(B) - rk_m(A) <= rk_n(B) - rk_n(A)
-    for every A inside B.
+    for every A inside B, i.e. whether the gap rk_n - rk_m is monotone.
 
-    Exhaustive over all nested pairs; B runs from the full ground set
-    downward and A over submasks in increasing order, so the first witness
-    is the canonical whole-ground-set violation whenever one exists.
+    A function on the subsets of [n] is monotone exactly when it is monotone
+    on the covering pairs (S - x, S), so the verdict takes n * 2^(n-1)
+    comparisons instead of the 3^n nested pairs.  The canonical witness is
+    searched for only after that check fails: B runs from the full ground
+    set downward and A over submasks in increasing order, so the first
+    witness is the whole-ground-set violation whenever one exists.
     """
     _check_same_ground(m, n)
     rm = m.rank_table
     rn = n.rank_table
+    if _gap_is_monotone(rm, rn, m.n):
+        return QuotientVerdict(True)
     for b in range(full_mask(m.n), -1, -1):
         rmb = rm[b]
         rnb = rn[b]
@@ -72,7 +112,7 @@ def is_quotient_rank(m: Matroid, n: Matroid) -> QuotientVerdict:
             if s == 0:
                 break
             s = (s - 1) & b
-    return QuotientVerdict(True)
+    raise RuntimeError("the covering-pair check failed but no nested pair violates")
 
 
 def is_quotient_circuits(m: Matroid, n: Matroid) -> QuotientVerdict:

@@ -16,7 +16,6 @@ from positroids import (
     DecoratedPermutation,
     containment_check,
     exists_shift,
-    is_quotient_rank,
     positroid_of,
     recover_shift_set,
     shift_interval,
@@ -81,6 +80,29 @@ def naive_gale_leq(i, a, b, n) -> bool:
     sa = sorted(a, key=order.index)
     sb = sorted(b, key=order.index)
     return all(order.index(x) <= order.index(y) for x, y in zip(sa, sb))
+
+
+def nested_pairs_quotient(m: Matroid, n: Matroid):
+    """The first (A, B), as sorted lists, with A inside B and
+    rk_m(B) - rk_m(A) > rk_n(B) - rk_n(A), or None when m is a quotient of n.
+
+    Every nested pair is visited: B from the full ground set downward, A over
+    the submasks of B in increasing order.  This is the order that makes the
+    witness of ``is_quotient_rank`` canonical; the kernel itself decides on
+    covering pairs only.
+    """
+    rm, rn = m.rank_table, n.rank_table
+    for b in range(full_mask(m.n), -1, -1):
+        rmb, rnb = rm[b], rn[b]
+        s = b
+        while True:
+            a = b ^ s
+            if rmb - rm[a] > rnb - rn[a]:
+                return sorted(mask_members(a)), sorted(mask_members(b))
+            if s == 0:
+                break
+            s = (s - 1) & b
+    return None
 
 
 def interval_containment(sigma: DecoratedPermutation, pi: DecoratedPermutation) -> tuple[bool, bool]:
@@ -207,7 +229,8 @@ def run_gap_sweep(n: int, dps: list[DecoratedPermutation]) -> GapSweep:
     """Visit every ordered pair (sigma, pi) of decorated permutations on [n]
     with rank(sigma) = rank(pi) - 1 and record, without any shortcuts:
 
-    * whether the positroids form an elementary flag pair (full rank oracle),
+    * whether the positroids form an elementary flag pair (the nested-pairs
+      rank oracle, nested_pairs_quotient),
     * whether exists_shift agrees with entrywise necklace containment,
     * whether the disjoint shift-interval cover agrees with containment and
       with the existence of a shift,
@@ -241,7 +264,7 @@ def run_gap_sweep(n: int, dps: list[DecoratedPermutation]) -> GapSweep:
                     sweep.containment_route_checks += 1
                     if containment_check(sigma, pi) != interval_containment(sigma, pi):
                         sweep.containment_route_mismatches.append((sigma, pi))
-                if is_quotient_rank(m_sigma, positroid_of(pi)):
+                if nested_pairs_quotient(m_sigma, positroid_of(pi)) is None:
                     if containment_check(sigma, pi) != (True, True):
                         sweep.containment_failures.append((sigma, pi))
                     recovered = recover_shift_set(pi, sigma)
@@ -261,6 +284,32 @@ def decorated_permutations(draw, min_n=1, max_n=8):
         draw(st.sampled_from((-1, 1))) if v == i else 0 for i, v in enumerate(perm, start=1)
     )
     return DecoratedPermutation(perm, col)
+
+
+def rank_dropping_shifts(pi: DecoratedPermutation) -> list[DecoratedPermutation]:
+    """pi.cyclic_shift(A) for every A inside [n] whose shift has rank
+    rank(pi) - 1, by increasing mask of A."""
+    shifts = (pi.cyclic_shift(mask_members(mask)) for mask in range(1 << pi.n))
+    return [sigma for sigma in shifts if sigma.rank == pi.rank - 1]
+
+
+@st.composite
+def rank_gap_pairs(draw, min_n=1, max_n=8):
+    """(sigma, pi) on the same [n] with rank(sigma) = rank(pi) - 1.
+
+    Half of the draws try up to five independent (sigma, pi) until the ranks
+    fit; the others, and any draw that runs out of tries, take sigma among
+    the rank-dropping cyclic shifts of pi, so that quotient pairs occur.
+    """
+    n = draw(st.integers(min_n, max_n))
+    independent = draw(st.booleans())
+    for _ in range(5 if independent else 1):
+        pi = draw(decorated_permutations(n, n).filter(lambda dp: dp.rank > 0))
+        if independent:
+            sigma = draw(decorated_permutations(n, n))
+            if sigma.rank == pi.rank - 1:
+                return sigma, pi
+    return draw(st.sampled_from(rank_dropping_shifts(pi))), pi
 
 
 @st.composite

@@ -12,6 +12,7 @@ from positroids import (
     DecoratedPermutation,
     all_lpms,
     cw_function,
+    elementary_flag_pairs,
     is_quotient_circuits,
     is_quotient_of_uniform,
     is_quotient_rank,
@@ -90,12 +91,19 @@ def test_criterion_3_shift_theorem(gap_sweep):
         for label, bucket in (
             ("exists/containment", sweep.exists_mismatches),
             ("replay", sweep.replay_failures),
+            ("containment necessity", sweep.containment_failures),
         ):
             problems.extend((n, label, sigma.to_text(), pi.to_text()) for sigma, pi in bucket)
+        # the library sweep filters by containment before its rank check; it
+        # must reproduce the oracle sweep triple for triple, in order
+        generated = [t for k in range(1, n + 1) for t in elementary_flag_pairs(k, n)]
+        if generated != sweep.flag_pairs:
+            problems.append((n, "elementary_flag_pairs", len(generated), len(sweep.flag_pairs)))
     _report(
         "criterion 3, shift theorem n<=6",
         not problems,
-        f"{pairs} rank-gap-1 pairs, {flags} elementary flag pairs, all recoveries replay; "
+        f"{pairs} rank-gap-1 pairs, {flags} elementary flag pairs, all recoveries replay, "
+        f"containment holds on every flag pair, elementary_flag_pairs agrees; "
         f"discrepancies: {problems[:3]}",
     )
 

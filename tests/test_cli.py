@@ -199,6 +199,20 @@ class TestEnumerate:
         assert everything == per_rank
         assert everything
 
+    @pytest.mark.parametrize("what", ["positroids", "dps", "lpms"])
+    @pytest.mark.parametrize("k", [9, -1])
+    def test_rank_out_of_range_is_two(self, capsys, what, k):
+        code, out, err = run(capsys, "enumerate", "--what", what, "--k", str(k), "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: rank {k} out of range 0..3\n"
+
+    def test_flag_pair_rank_out_of_range_is_two(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--what", "flag-pairs", "--k", "0", "--n", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: rank 0 out of range 1..3\n"
+
     def test_bound_rejected_without_env(self, capsys, monkeypatch):
         monkeypatch.delenv("POSITROID_MAX_N", raising=False)
         code, _, err = run(capsys, "enumerate", "--what", "dps", "--n", "9")

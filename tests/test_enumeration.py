@@ -133,3 +133,11 @@ class TestCensusRecords:
             assert [r.to_json() for r in census_records(what, None, 3)] == per_rank
         with pytest.raises(ValueError):
             next(census_records("positroids", None, 9))
+
+    def test_k_out_of_range(self):
+        for what in ("dps", "positroids", "lpms"):
+            for k in (-1, 4):
+                with pytest.raises(ValueError, match=f"rank {k} out of range 0..3"):
+                    next(census_records(what, k, 3))
+        with pytest.raises(ValueError, match="rank 0 out of range 1..3"):
+            next(census_records("flag-pairs", 0, 3))

@@ -81,14 +81,20 @@ class TestCircuitOracle:
 
 class TestOracleAgreementSmall:
     def test_all_matroid_pairs_tiny(self, matroid_census):
+        # every labeled matroid pair, not only positroids; the rank kernel
+        # also matches the nested-pairs scan in verdict and witness
         for n in range(1, 5):
             census = matroid_census(n)
             for m in census:
                 for other in census:
-                    assert (
-                        is_quotient_rank(m, other).is_quotient
-                        == is_quotient_circuits(m, other).is_quotient
-                    )
+                    verdict = is_quotient_rank(m, other)
+                    assert verdict.is_quotient == is_quotient_circuits(m, other).is_quotient
+                    expected = support.nested_pairs_quotient(m, other)
+                    if expected is None:
+                        assert verdict.is_quotient and verdict.witness is None
+                    else:
+                        assert not verdict
+                        assert (verdict.witness["A"], verdict.witness["B"]) == expected
 
 
 class TestUniformCriterion:
@@ -303,3 +309,15 @@ class TestCcwCovering:
 def test_oracle_agreement_random_positroid_pairs(dp1, dp2):
     m, n = positroid_of(dp1), positroid_of(dp2)
     assert is_quotient_rank(m, n).is_quotient == is_quotient_circuits(m, n).is_quotient
+
+
+@settings(max_examples=60, deadline=None)
+@given(support.rank_gap_pairs(min_n=7, max_n=9))
+def test_rank_kernel_matches_nested_pairs_beyond_sweep(pair):
+    sigma, pi = pair
+    m, n = positroid_of(sigma), positroid_of(pi)
+    verdict = is_quotient_rank(m, n)
+    expected = support.nested_pairs_quotient(m, n)
+    assert verdict.is_quotient == (expected is None)
+    if expected is not None:
+        assert (verdict.witness["A"], verdict.witness["B"]) == expected
