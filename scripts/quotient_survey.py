@@ -9,7 +9,8 @@ quotient, and shift-recovery machinery.
     python scripts/quotient_survey.py --n 5
 
 An argument the library refuses (such as an n above the flag-pair bound)
-prints ``error: ...`` to stderr and exits 2, as the ``positroids`` CLI does.
+prints ``error: ...`` to stderr and exits 2, as the ``positroids`` CLI does;
+the bound is checked before anything is printed to stdout.
 """
 import argparse
 import sys
@@ -17,6 +18,7 @@ import time
 from collections import Counter
 
 from positroids import all_decorated_permutations, elementary_flag_pairs
+from positroids.enumeration import check_census
 
 
 def main() -> int:
@@ -32,6 +34,7 @@ def main() -> int:
 
 
 def survey(n: int) -> None:
+    check_census("flag-pairs", None, n)
     ranks = Counter(dp.rank for dp in all_decorated_permutations(n))
     print(f"decorated permutations on [{n}]: {sum(ranks.values())}")
     for k in range(n + 1):

@@ -14,7 +14,7 @@ import sys
 
 from .arrows import ccw_arrows, cw_arrows
 from .decorated import DecoratedPermutation, GrassmannNecklace
-from .enumeration import DEFAULT_MAX_N, FLAG_PAIR_MAX_N, census_records
+from .enumeration import DEFAULT_MAX_N, FLAG_PAIR_MAX_N, census_records, check_census
 from .lpm import Lpm, lpm_bases, lpm_quotient_greedy
 from .matroids import Matroid, bases_from_necklace, positroid_of
 from .quotients import (
@@ -193,6 +193,7 @@ def _cmd_enumerate(args) -> int:
                 f"proceeding because POSITROID_MAX_N={env} (this may take very long)",
                 file=sys.stderr,
             )
+    check_census(args.what, args.k, args.n, max_n=bound)
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
         for record in census_records(args.what, args.k, args.n, max_n=bound):

@@ -9,6 +9,7 @@ the compact encoding of positroids used everywhere in this package.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -169,8 +170,16 @@ class DecoratedPermutation:
 
     @cached_property
     def necklace(self) -> GrassmannNecklace:
-        entries = tuple(self.anti_exceedances(i) for i in range(1, self.n + 1))
-        return GrassmannNecklace(self.n, len(entries[0]), entries)
+        """I_1 = W_1, then Postnikov's recurrence I_{i+1} = I_i - {i} + {perm(i)},
+        which leaves the entry unchanged at a loop (arXiv:math/0609764)."""
+        entry = set(self.anti_exceedances(1))
+        entries = [frozenset(entry)]
+        for i, (v, c) in enumerate(zip(self.perm[:-1], self.col), start=1):
+            if c != LOOP:
+                entry.discard(i)
+                entry.add(v)
+            entries.append(frozenset(entry))
+        return GrassmannNecklace(self.n, len(entry), tuple(entries))
 
     @cached_property
     def conecklace(self) -> GrassmannNecklace:
@@ -181,7 +190,9 @@ class DecoratedPermutation:
 
     @cached_property
     def rank(self) -> int:
-        return len(self.anti_exceedances(1))
+        """|W_1| = #{j : j < perm^{-1}(j)} + #coloops, counting the first set
+        as the anti-exceedances #{i : perm(i) < i}."""
+        return sum(map(operator.lt, self.perm, range(1, self.n + 1))) + self.col.count(COLOOP)
 
     def grassmann_interval(self, i: int) -> CyclicInterval:
         """S_i = (perm^{-1}(i), i]; the full circle when i is a coloop."""

@@ -103,19 +103,37 @@ class CensusRecord:
         return {"n": self.n, "k": self.k, **self.payload}
 
 
+# the generator whose bound check a census of each kind runs into first
+_CENSUS_BOUNDS = {
+    "dps": (DEFAULT_MAX_N, "decorated permutation"),
+    "positroids": (DEFAULT_MAX_N, "decorated permutation"),
+    "lpms": (DEFAULT_MAX_N, "lattice path matroid"),
+    "flag-pairs": (FLAG_PAIR_MAX_N, "flag pair"),
+}
+
+
+def check_census(what: str, k: Optional[int], n: int, max_n: Optional[int] = None) -> None:
+    """Raise the ValueError that ``census_records(what, k, n, max_n)`` would
+    raise, before any record is made: an unknown kind, a given k outside
+    0..n (1..n for flag pairs), or an n above the kind's bound."""
+    if what not in _CENSUS_BOUNDS:
+        raise ValueError(f"unknown census kind {what!r}")
+    lowest = 1 if what == "flag-pairs" else 0
+    if k is not None and not lowest <= k <= n:
+        raise ValueError(f"rank {k} out of range {lowest}..{n}")
+    _check_bound(n, max_n, *_CENSUS_BOUNDS[what])
+
+
 def census_records(what: str, k: Optional[int], n: int, max_n: Optional[int] = None) -> Iterator[CensusRecord]:
     """JSON-lines-ready records for the CLI; one record per enumerated object.
 
     ``k=None`` means every rank, rank-major: 0..n for positroids and LPMs,
     1..n for flag pairs.  Decorated permutations always come in one
-    lexicographic pass, restricted to rank k when k is given.  A given k
-    outside that range raises ValueError.
+    lexicographic pass, restricted to rank k when k is given.  Arguments
+    that ``check_census`` refuses raise its ValueError.
     """
-    if what not in ("dps", "positroids", "lpms", "flag-pairs"):
-        raise ValueError(f"unknown census kind {what!r}")
+    check_census(what, k, n, max_n)
     lowest = 1 if what == "flag-pairs" else 0
-    if k is not None and not lowest <= k <= n:
-        raise ValueError(f"rank {k} out of range {lowest}..{n}")
     if what == "dps":
         for dp in all_decorated_permutations(n, max_n):
             if k is None or dp.rank == k:

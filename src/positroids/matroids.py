@@ -1,9 +1,14 @@
-"""Explicit-bases matroids: the brute-force oracle layer.
+"""Explicit-bases matroids and the positroid basis layer.
 
 A matroid stores its full basis family and derives everything else (rank
-function, circuits, duality, loops and coloops) by direct search.  This is
-deliberately the slow, trustworthy substrate that every fast criterion in
-the package is cross-validated against at desk scale.
+function, circuits, duality, loops and coloops) from it.  Two routes are
+bitmask kernels: ``bases_from_necklace`` tests k-subsets against rank caps
+on cyclic intervals, and ``Matroid.rank_table`` closes the bases downward.
+The direct routes they replace, the Gale-order filter and max over bases,
+are kept as oracles in ``tests/support.py`` and cross-checked against them.
+The rest (circuits, necklace extraction by Gale minima, the exchange-axiom
+check) is still direct search over subsets: exact at desk scale, and the
+substrate the quotient criteria are cross-validated against.
 """
 from __future__ import annotations
 
@@ -15,7 +20,6 @@ from typing import Iterable
 from .cyclic import (
     check_element,
     check_ground,
-    cyclic_pos,
     full_mask,
     gale_max,
     gale_min,
@@ -82,13 +86,36 @@ class Matroid:
 
     @cached_property
     def rank_table(self) -> list[int]:
-        """rank_of every subset, indexed by bitmask.  Exponential; desk scale only."""
+        """rank_of every subset, indexed by bitmask.  Exponential; desk scale only.
+
+        The independent sets are the downward closure of the bases; then
+        rk(S) = |S| when S is independent and max_x rk(S - x) otherwise,
+        O(2^n * n) in all.
+        """
         if self.n > 16:
             raise ValueError("rank table supported only for n <= 16")
+        independent = bytearray(1 << self.n)
+        for b in self.basis_masks:
+            independent[b] = 1
+        for s in range(full_mask(self.n), 0, -1):
+            if independent[s]:
+                bits = s
+                while bits:
+                    x = bits & -bits
+                    bits ^= x
+                    independent[s ^ x] = 1
         table = [0] * (1 << self.n)
-        masks = self.basis_masks
         for s in range(1, 1 << self.n):
-            table[s] = max((s & b).bit_count() for b in masks)
+            if independent[s]:
+                table[s] = s.bit_count()
+                continue
+            best, bits = 0, s
+            while bits:
+                x = bits & -bits
+                bits ^= x
+                if table[s ^ x] > best:
+                    best = table[s ^ x]
+            table[s] = best
         return table
 
     def rank_of(self, subset: Iterable[int]) -> int:
@@ -178,24 +205,41 @@ class Matroid:
 def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
     """B(I) = { B in C([n], k) : I_i <=_i B for all i }, the positroid of I.
 
+    The positroid is cut out by rank caps on cyclic intervals (Oh,
+    arXiv:0803.1018).  I_i <=_i B says that, for each t from 0, the t-th
+    member of B under <_i comes no earlier than the t-th member x of I_i:
+    |B & P| <= t for the prefix P of <_i that ends just before x.  A cap
+    with |P| = t constrains nothing and is dropped.  The prefixes kept are
+    nonempty proper cyclic intervals, one per start and length, so no cap
+    repeats; every k-subset is tested against all of them.
+
     Raises ValueError when the filter comes back empty, which signals input
     that does not satisfy the necklace axioms.
     """
     n, k = necklace.n, necklace.k
-    refs = [
-        tuple(sorted(cyclic_pos(i, x, n) for x in necklace.entries[i - 1]))
-        for i in range(1, n + 1)
-    ]
+    caps = []
+    for i, entry in enumerate(necklace.masks):
+        prefix = t = 0
+        for j in range(n):
+            bit = 1 << (i + j) % n
+            if entry & bit:
+                if t < j:
+                    caps.append((prefix, t))
+                t += 1
+                if t == k:
+                    break
+            prefix |= bit
     found = []
-    for combo in itertools.combinations(range(1, n + 1), k):
-        ok = True
-        for i in range(1, n + 1):
-            pos = sorted(cyclic_pos(i, x, n) for x in combo)
-            if any(p < r for p, r in zip(pos, refs[i - 1])):
-                ok = False
+    for combo, bits in zip(
+        itertools.combinations(range(1, n + 1), k),
+        itertools.combinations([1 << x for x in range(n)], k),
+    ):
+        b = sum(bits)
+        for prefix, cap in caps:
+            if (b & prefix).bit_count() > cap:
                 break
-        if ok:
-            found.append(frozenset(combo))
+        else:
+            found.append(combo)
     if not found:
         raise ValueError("no subset dominates every necklace entry; invalid necklace")
     return Matroid(n, found)

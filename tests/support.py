@@ -20,7 +20,8 @@ from positroids import (
     recover_shift_set,
     shift_interval,
 )
-from positroids.cyclic import full_mask
+from positroids.cyclic import cyclic_pos, full_mask
+from positroids.decorated import GrassmannNecklace
 from positroids.matroids import Matroid
 
 
@@ -103,6 +104,38 @@ def nested_pairs_quotient(m: Matroid, n: Matroid):
                 break
             s = (s - 1) & b
     return None
+
+
+def gale_filter_bases(necklace: GrassmannNecklace) -> Matroid:
+    """``bases_from_necklace`` by the Gale order itself: every k-subset whose
+    <_i-sorted positions dominate those of I_i, componentwise, for every i.
+    Raises the same ValueError when nothing passes."""
+    n, k = necklace.n, necklace.k
+    refs = [
+        tuple(sorted(cyclic_pos(i, x, n) for x in necklace.entries[i - 1]))
+        for i in range(1, n + 1)
+    ]
+    found = []
+    for combo in itertools.combinations(range(1, n + 1), k):
+        ok = True
+        for i in range(1, n + 1):
+            pos = sorted(cyclic_pos(i, x, n) for x in combo)
+            if any(p < r for p, r in zip(pos, refs[i - 1])):
+                ok = False
+                break
+        if ok:
+            found.append(frozenset(combo))
+    if not found:
+        raise ValueError("no subset dominates every necklace entry; invalid necklace")
+    return Matroid(n, found)
+
+
+def max_over_bases_rank_table(m: Matroid) -> list[int]:
+    """``Matroid.rank_table`` as rk(S) = max over bases B of |S & B|."""
+    table = [0] * (1 << m.n)
+    for s in range(1, 1 << m.n):
+        table[s] = max((s & b).bit_count() for b in m.basis_masks)
+    return table
 
 
 def interval_containment(sigma: DecoratedPermutation, pi: DecoratedPermutation) -> tuple[bool, bool]:
@@ -310,6 +343,16 @@ def rank_gap_pairs(draw, min_n=1, max_n=8):
             if sigma.rank == pi.rank - 1:
                 return sigma, pi
     return draw(st.sampled_from(rank_dropping_shifts(pi))), pi
+
+
+@st.composite
+def subset_sequences(draw, max_n=8):
+    """A GrassmannNecklace of n arbitrary k-subsets of [n]; the necklace
+    axioms hold only by chance."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, n))
+    entry = st.sets(st.integers(1, n), min_size=k, max_size=k)
+    return GrassmannNecklace(n, k, tuple(draw(entry) for _ in range(n)))
 
 
 @st.composite

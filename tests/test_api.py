@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import positroids
 
 REMOVED = ("GrassmannMatrix", "interval_members", "validate", "validate_matroid")
@@ -14,3 +17,15 @@ def test_removed_aliases_are_gone():
         assert name not in positroids.__all__
         assert not hasattr(positroids, name)
     assert not hasattr(positroids.DecoratedPermutation, "to_necklace")
+
+
+def test_no_assert_in_library_source():
+    # invariants must raise: python -O strips assert statements
+    src = Path(positroids.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []

@@ -213,6 +213,22 @@ class TestEnumerate:
         assert out == ""
         assert err == "error: rank 0 out of range 1..3\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--what", "positroids", "--k", "9", "--n", "3"),
+            ("--what", "positroids", "--n", "9"),
+            ("--what", "flag-pairs", "--n", "7"),
+        ],
+    )
+    def test_refusal_creates_no_out_file(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.delenv("POSITROID_MAX_N", raising=False)
+        out_path = tmp_path / "e.jsonl"
+        code, out, err = run(capsys, "enumerate", *argv, "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not out_path.exists()
+
     def test_bound_rejected_without_env(self, capsys, monkeypatch):
         monkeypatch.delenv("POSITROID_MAX_N", raising=False)
         code, _, err = run(capsys, "enumerate", "--what", "dps", "--n", "9")

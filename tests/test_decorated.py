@@ -84,6 +84,13 @@ class TestNecklaces:
             for dp in dps(n):
                 assert dp.necklace.satisfies_axioms()
 
+    def test_recurrence_matches_anti_exceedances(self, dps):
+        # exhaustive for n <= 7: the recurrence entry by entry, and the O(n) rank
+        for n in range(1, 8):
+            for dp in dps(n):
+                assert dp.necklace.entries == tuple(dp.anti_exceedances(i) for i in range(1, n + 1)), dp
+                assert dp.rank == len(dp.anti_exceedances(1)), dp
+
     def test_from_necklace_round_trip(self):
         neck = DP_15234.necklace
         assert DecoratedPermutation.from_necklace(neck) == DP_15234

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 import support
 from positroids import (
@@ -166,6 +167,42 @@ class TestNecklaceBridge:
             {1, 6},
             {1, 7},
         )
+
+
+class TestKernelsAgainstOracles:
+    """bases_from_necklace against the Gale-order filter, and rank_table
+    against max over bases, in ``support``."""
+
+    def test_bases_exhaustive_up_to_seven(self, dps):
+        for n in range(1, 8):
+            for dp in dps(n):
+                assert bases_from_necklace(dp.necklace) == support.gale_filter_bases(dp.necklace), dp
+
+    def test_rank_tables_on_matroid_census(self, matroid_census):
+        for n in range(1, 7):
+            for m in matroid_census(n):
+                assert m.rank_table == support.max_over_bases_rank_table(m), m.to_json()
+
+    @settings(max_examples=30, deadline=None)
+    @given(support.decorated_permutations(min_n=9, max_n=12))
+    def test_beyond_exhaustive_range(self, dp):
+        # the necklace recurrence and the O(n) rank ride along
+        assert dp.necklace.entries == tuple(dp.anti_exceedances(i) for i in range(1, dp.n + 1))
+        assert dp.rank == len(dp.anti_exceedances(1))
+        m = bases_from_necklace(dp.necklace)
+        assert m == support.gale_filter_bases(dp.necklace)
+        assert m.rank_table == support.max_over_bases_rank_table(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(support.subset_sequences(max_n=9))
+    def test_same_bases_or_same_error_off_the_axioms(self, necklace):
+        outcomes = []
+        for route in (bases_from_necklace, support.gale_filter_bases):
+            try:
+                outcomes.append(route(necklace))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestIsPositroid:
