@@ -183,17 +183,15 @@ def _cmd_arrows(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     default = FLAG_PAIR_MAX_N if args.what == "flag-pairs" else DEFAULT_MAX_N
-    bound = default
     env = os.environ.get("POSITROID_MAX_N")
-    if env is not None:
-        bound = int(env)
-        if args.n > default:
-            print(
-                f"warning: n={args.n} exceeds the supported bound {default}; "
-                f"proceeding because POSITROID_MAX_N={env} (this may take very long)",
-                file=sys.stderr,
-            )
+    bound = default if env is None else int(env)
     check_census(args.what, args.k, args.n, max_n=bound)
+    if args.n > default:
+        print(
+            f"warning: n={args.n} exceeds the supported bound {default}; "
+            f"proceeding because POSITROID_MAX_N={env} (this may take very long)",
+            file=sys.stderr,
+        )
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
         for record in census_records(args.what, args.k, args.n, max_n=bound):

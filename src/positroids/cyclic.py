@@ -11,6 +11,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -32,6 +33,22 @@ def check_element(x: int, n: int) -> None:
         raise ValueError(f"element {x!r} out of range 1..{n}")
 
 
+def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
+    """check_element on the members of the given sets, each value once.
+
+    A union compares by value, so a non-int equal to an int (2.0 and 2)
+    would hide behind it; one pass over the member types sends such input
+    to the element-by-element check instead.
+    """
+    sets = tuple(sets)
+    if set(map(type, itertools.chain.from_iterable(sets))) <= {int}:
+        members = frozenset().union(*sets)
+    else:
+        members = itertools.chain.from_iterable(sets)
+    for x in members:
+        check_element(x, n)
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -41,6 +58,14 @@ def mask_of(members: Iterable[int], n: int) -> int:
     m = 0
     for x in members:
         check_element(x, n)
+        m |= 1 << (x - 1)
+    return m
+
+
+def bits_of(members: Iterable[int]) -> int:
+    """Bitmask of members already checked to lie in [n]; no check of its own."""
+    m = 0
+    for x in members:
         m |= 1 << (x - 1)
     return m
 

@@ -16,8 +16,10 @@ from typing import Iterable
 
 from .cyclic import (
     CyclicInterval,
+    bits_of,
     check_element,
     check_ground,
+    check_members,
     cyclic_pos,
     full_mask,
     mask_of,
@@ -57,8 +59,7 @@ class GrassmannNecklace:
         for e in entries:
             if len(e) != self.k:
                 raise ValueError(f"entry {sorted(e)} is not a {self.k}-subset")
-            for x in e:
-                check_element(x, self.n)
+        check_members(entries, self.n)
 
     def entry(self, i: int) -> frozenset[int]:
         """The i-th entry, 1-indexed, with I_{n+1} meaning I_1."""
@@ -66,7 +67,7 @@ class GrassmannNecklace:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(e, self.n) for e in self.entries)
+        return tuple(map(bits_of, self.entries))
 
     @cached_property
     def _packed(self) -> int:

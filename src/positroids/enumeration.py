@@ -8,6 +8,7 @@ may raise them explicitly, which the CLI does only with a loud warning.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -26,13 +27,29 @@ def _check_bound(n: int, max_n: Optional[int], default: int, what: str) -> None:
         raise ValueError(f"{what} enumeration supports 1 <= n <= {bound}, got n={n}")
 
 
-def all_decorated_permutations(n: int, max_n: Optional[int] = None) -> Iterator[DecoratedPermutation]:
+def all_decorated_permutations(
+    n: int, max_n: Optional[int] = None, *, rank: Optional[int] = None
+) -> Iterator[DecoratedPermutation]:
     """Every decorated permutation of [n] exactly once, in lexicographic
-    order of (perm, col); each fixed point carries either decoration."""
+    order of (perm, col); each fixed point carries either decoration.
+
+    With ``rank`` given, only those of that rank, in the same order.  The
+    rank is #{i : perm(i) < i} + #coloops, so a permutation with a
+    anti-exceedances and f fixed points has decorations of rank a..a+f
+    only; the others are skipped before any object is built.
+    """
     _check_bound(n, max_n, DEFAULT_MAX_N, "decorated permutation")
+    if rank is not None and not 0 <= rank <= n:
+        raise ValueError(f"rank {rank} out of range 0..{n}")
     for perm in itertools.permutations(range(1, n + 1)):
         fixed = [i for i in range(n) if perm[i] == i + 1]
+        if rank is not None:
+            coloops = rank - sum(map(operator.lt, perm, range(1, n + 1)))
+            if not 0 <= coloops <= len(fixed):
+                continue
         for decorations in itertools.product((COLOOP, LOOP), repeat=len(fixed)):
+            if rank is not None and decorations.count(COLOOP) != coloops:
+                continue
             col = [0] * n
             for pos, c in zip(fixed, decorations):
                 col[pos] = c
@@ -44,9 +61,8 @@ def all_positroids(k: int, n: int, max_n: Optional[int] = None) -> Iterator[Matr
     _check_bound(n, max_n, DEFAULT_MAX_N, "positroid")
     if not 0 <= k <= n:
         raise ValueError(f"rank {k} out of range 0..{n}")
-    for dp in all_decorated_permutations(n, max_n):
-        if dp.rank == k:
-            yield positroid_of(dp)
+    for dp in all_decorated_permutations(n, max_n, rank=k):
+        yield positroid_of(dp)
 
 
 def all_lpms(k: int, n: int, max_n: Optional[int] = None) -> Iterator[Lpm]:
@@ -61,6 +77,31 @@ def all_lpms(k: int, n: int, max_n: Optional[int] = None) -> Iterator[Lpm]:
                 yield Lpm(n, upper, lower)
 
 
+def _colours(dp: DecoratedPermutation) -> int:
+    """The loops of dp as bits 0..n-1 and its coloops as bits n..2n-1."""
+    n = dp.n
+    return sum(1 << j if c == LOOP else 1 << (n + j) for j, c in enumerate(dp.col) if c)
+
+
+def _unrotation_plans(n: int) -> list[tuple[int, operator.itemgetter]]:
+    """(A, unrotate) for every proper subset A of [n], as a mask, the empty
+    set included.
+
+    cyclic_shift(pi, A) moves each free value to the next free position on
+    the circle, so it is undone by pi(j) = sigma(next free position after j)
+    for free j and pi(j) = sigma(j) for frozen j: unrotate maps sigma.perm
+    to that pi.perm.
+    """
+    plans = []
+    for a in range((1 << n) - 1):
+        free = [j for j in range(n) if not a >> j & 1]
+        source = list(range(n))
+        for j, nxt in zip(free, free[1:] + free[:1]):
+            source[j] = nxt
+        plans.append((a, operator.itemgetter(*source)))
+    return plans
+
+
 def elementary_flag_pairs(
     k: int, n: int, max_n: Optional[int] = None
 ) -> Iterator[tuple[DecoratedPermutation, DecoratedPermutation, frozenset[int]]]:
@@ -68,23 +109,44 @@ def elementary_flag_pairs(
     positroid of sigma an elementary quotient of the positroid of pi, and A
     the recovered shift set: cyclic_shift(pi, A) == sigma always holds.
 
-    Necklace and conecklace containment is necessary for a two-step flag
-    positroid but not sufficient (arXiv:2311.05340: 2 6 1 5 3 4 below the
-    rotation of U_{4,6} passes both), so it only filters the pairs; the
-    rank oracle decides the ones that pass.  Output is sigma-major in the
-    lexicographic order of all_decorated_permutations.
+    By the shift theorem every such pair has sigma = cyclic_shift(pi, A) for
+    a proper subset A of [n], and A holds every coloop of sigma, because a
+    shift leaves no coloop on a free position.  So the candidates for each
+    sigma are the rank-k pi that undo one of those shifts: sigma's
+    permutation un-rotated on the free positions, with sigma's colours on
+    the frozen ones and either colour on a new fixed point.  Candidates
+    only need to include every flag pair; the verdict is left to the
+    filters.  Necklace and conecklace containment is necessary for a
+    two-step flag positroid but not sufficient (arXiv:2311.05340: 2 6 1 5 3
+    4 below the rotation of U_{4,6} passes both), so it only filters the
+    candidates; the rank oracle decides the ones that pass.  Output is
+    sigma-major, each part in the lexicographic order of
+    all_decorated_permutations, the order of the quadratic sweep over every
+    pair that ``tests/support.quadratic_flag_pairs`` keeps as the oracle.
     """
     _check_bound(n, max_n, FLAG_PAIR_MAX_N, "flag pair")
     if not 1 <= k <= n:
         raise ValueError(f"rank {k} out of range 1..{n}")
-    pis, sigmas = [], []
-    for dp in all_decorated_permutations(n, max_n):
-        if dp.rank == k:
-            pis.append(dp)
-        elif dp.rank == k - 1:
-            sigmas.append(dp)
-    for sigma in sigmas:
-        for pi in pis:
+    pis = list(all_decorated_permutations(n, max_n, rank=k))
+    # each perm's (position, colours); the key goes through an itemgetter
+    # like the plans' keys, which are bare values rather than tuples at n = 1
+    same = operator.itemgetter(*range(n))
+    index: dict = {}
+    for p, pi in enumerate(pis):
+        index.setdefault(same(pi.perm), []).append((p, _colours(pi)))
+    plans = _unrotation_plans(n)
+    for sigma in all_decorated_permutations(n, max_n, rank=k - 1):
+        colours = _colours(sigma)
+        coloops = colours >> n  # A must hold these
+        hits = set()
+        for a, unrotate in plans:
+            if a & coloops != coloops:
+                continue
+            for p, pi_colours in index.get(unrotate(sigma.perm), ()):
+                if (pi_colours ^ colours) & (a | a << n) == 0:
+                    hits.add(p)
+        for p in sorted(hits):
+            pi = pis[p]
             if not all(containment_check(sigma, pi)):
                 continue
             if is_quotient_rank(positroid_of(sigma), positroid_of(pi)):
@@ -135,19 +197,16 @@ def census_records(what: str, k: Optional[int], n: int, max_n: Optional[int] = N
     check_census(what, k, n, max_n)
     lowest = 1 if what == "flag-pairs" else 0
     if what == "dps":
-        for dp in all_decorated_permutations(n, max_n):
-            if k is None or dp.rank == k:
-                yield CensusRecord(n, dp.rank, {"dp": dp.to_text()})
+        for dp in all_decorated_permutations(n, max_n, rank=k):
+            yield CensusRecord(n, dp.rank, {"dp": dp.to_text()})
         return
     if what == "positroids":
-        dps = all_decorated_permutations(n, max_n)
+        dps = all_decorated_permutations(n, max_n, rank=k)
         if k is None:
             # one pass, grouped by rank; the sort is stable, so each rank
             # keeps the lexicographic order
             dps = sorted(dps, key=lambda dp: dp.rank)
         for dp in dps:
-            if k is not None and dp.rank != k:
-                continue
             m = positroid_of(dp)
             yield CensusRecord(
                 n,

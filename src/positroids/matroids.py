@@ -18,8 +18,9 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .cyclic import (
-    check_element,
+    bits_of,
     check_ground,
+    check_members,
     full_mask,
     gale_max,
     gale_min,
@@ -46,9 +47,7 @@ class Matroid:
         family = {frozenset(b) for b in bases}
         if not family:
             raise ValueError("a matroid needs at least one basis")
-        for b in family:
-            for x in b:
-                check_element(x, n)
+        check_members(family, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bases", tuple(sorted(family, key=sorted)))
 
@@ -58,7 +57,7 @@ class Matroid:
 
     @cached_property
     def basis_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(b, self.n) for b in self.bases)
+        return tuple(map(bits_of, self.bases))
 
     def is_valid(self) -> bool:
         """Equicardinality plus the basis-exchange axiom, checked pairwise."""

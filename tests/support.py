@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from positroids import (
     DecoratedPermutation,
+    all_decorated_permutations,
     containment_check,
     exists_shift,
+    is_quotient_rank,
     positroid_of,
     recover_shift_set,
     shift_interval,
@@ -147,6 +149,24 @@ def interval_containment(sigma: DecoratedPermutation, pi: DecoratedPermutation) 
     neck = all(a & ~b == 0 for a, b in zip(s_sigma, s_pi))
     coneck = all(s_sigma[sigma(i) - 1] & ~s_pi[pi(i) - 1] == 0 for i in range(1, pi.n + 1))
     return neck, coneck
+
+
+def quadratic_flag_pairs(k: int, n: int, max_n=None):
+    """``elementary_flag_pairs`` by visiting every rank-(k-1) x rank-k pair:
+    the containment filter, then the rank verdict, then the replayed shift
+    set, sigma-major in lexicographic order."""
+    pis, sigmas = [], []
+    for dp in all_decorated_permutations(n, max_n):
+        if dp.rank == k:
+            pis.append(dp)
+        elif dp.rank == k - 1:
+            sigmas.append(dp)
+    for sigma in sigmas:
+        for pi in pis:
+            if not all(containment_check(sigma, pi)):
+                continue
+            if is_quotient_rank(positroid_of(sigma), positroid_of(pi)):
+                yield sigma, pi, recover_shift_set(pi, sigma)
 
 
 # -- labeled matroid census ------------------------------------------------------

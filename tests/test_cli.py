@@ -246,6 +246,15 @@ class TestEnumerate:
         assert "warning" in err
         assert len(out.splitlines()) == 45  # ordered pairs u <= l among singletons
 
+    def test_env_override_refused_without_warning(self, capsys, monkeypatch):
+        # the override does not reach n = 9, so nothing may claim to proceed
+        monkeypatch.setenv("POSITROID_MAX_N", "7")
+        code, out, err = run(capsys, "enumerate", "--what", "flag-pairs", "--n", "9", "--k", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: flag pair enumeration supports 1 <= n <= 7, got n=9\n"
+        assert "proceeding" not in err
+
 
 class TestVerifyPaper:
     def test_exit_zero_and_lines(self, capsys):

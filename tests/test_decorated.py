@@ -10,7 +10,7 @@ from positroids import (
     shift_interval,
     uniform_dp,
 )
-from positroids.cyclic import full_mask
+from positroids.cyclic import full_mask, mask_of
 from positroids.matroids import positroid_of, uniform_matroid
 
 DP_15234 = DecoratedPermutation.from_text("1c 5 2 3 4")
@@ -111,6 +111,17 @@ class TestNecklaces:
         for n in range(1, 5):
             for dp in dps(n):
                 assert DecoratedPermutation.from_necklace(dp.necklace) == dp
+
+    @pytest.mark.parametrize("bad", [5, 0, "x", 2.0])
+    def test_bad_element_in_last_entry(self, bad):
+        # the elements are checked once, over the union of the entries
+        entries = (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}), frozenset({4, bad}))
+        with pytest.raises(ValueError, match=rf"^element {bad!r} out of range 1\.\.4$"):
+            GrassmannNecklace(4, 2, entries)
+
+    def test_masks_match_checked_masks(self):
+        for neck in (DP_15234.necklace, DP_15234.conecklace, DP_1654237.necklace):
+            assert neck.masks == tuple(mask_of(e, neck.n) for e in neck.entries)
 
     def test_necklace_json_round_trip(self):
         neck = DP_15234.necklace

@@ -37,9 +37,23 @@ class TestDecoratedPermutationCensus:
         keys = [(dp.perm, dp.col) for dp in census]
         assert keys == sorted(keys)
 
+    def test_rank_filter_matches_full_stream(self):
+        for n in range(1, 8):
+            full = list(all_decorated_permutations(n))
+            for k in range(n + 1):
+                expected = [dp for dp in full if dp.rank == k]
+                assert list(all_decorated_permutations(n, rank=k)) == expected
+
+    def test_rank_out_of_range(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match=f"^rank {k} out of range 0..3$"):
+                next(all_decorated_permutations(3, rank=k))
+
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             next(all_decorated_permutations(9))
+        with pytest.raises(ValueError, match="supports 1 <= n <= 8"):
+            next(all_decorated_permutations(9, rank=1))
 
     def test_bound_overridable(self):
         gen = all_decorated_permutations(9, max_n=9)
@@ -91,6 +105,18 @@ class TestFlagPairs:
     def test_bound(self):
         with pytest.raises(ValueError):
             next(elementary_flag_pairs(2, 7))
+
+    def test_matches_quadratic_oracle_up_to_six(self):
+        # triple for triple, in order
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                assert list(elementary_flag_pairs(k, n)) == list(support.quadratic_flag_pairs(k, n))
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 7])
+    def test_matches_quadratic_oracle_at_seven(self, k):
+        expected = list(support.quadratic_flag_pairs(k, 7, max_n=7))
+        assert expected
+        assert list(elementary_flag_pairs(k, 7, max_n=7)) == expected
 
 
 class TestLpmCensus:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 import support
+from positroids.cyclic import mask_of
 from positroids import (
     DecoratedPermutation,
     Matroid,
@@ -37,6 +38,17 @@ class TestValidation:
     def test_canonical_deduplication(self):
         m = Matroid(3, [{1, 2}, {2, 1}, {1, 3}])
         assert m.bases == (frozenset({1, 2}), frozenset({1, 3}))
+
+    @pytest.mark.parametrize("bad", [6, 0, "3", 2.0])
+    def test_bad_element_in_last_basis(self, bad):
+        # the elements are checked once, over the union of the bases; 2.0
+        # equals the 2 of an earlier basis and must not hide behind it
+        with pytest.raises(ValueError, match=rf"^element {bad!r} out of range 1\.\.5$"):
+            Matroid(5, [{1, 2}, {1, 3}, {3, 5}, {4, bad}])
+
+    def test_basis_masks_match_checked_masks(self):
+        for m in (P5, uniform_matroid(2, 4), Matroid(3, [frozenset()])):
+            assert m.basis_masks == tuple(mask_of(b, m.n) for b in m.bases)
 
 
 class TestRank:
