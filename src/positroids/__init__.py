@@ -14,7 +14,6 @@ from .arrows import (
     cw_function,
     rank_cyclic_interval,
     rank_upper_bound,
-    verify_ccw_rank_partition,
 )
 from .cyclic import (
     CyclicInterval,
@@ -93,7 +92,6 @@ __all__ = [
     "uniform_dp",
     "uniform_elementary_check",
     "uniform_matroid",
-    "verify_ccw_rank_partition",
 ]
 
 __version__ = "0.1.0"

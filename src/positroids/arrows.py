@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .cyclic import CyclicInterval, full_mask, mask_of, members_of
+from .cyclic import CyclicInterval, full_mask, mask_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
-from .matroids import positroid_of
+from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
 
 CW = "cw"
 CCW = "ccw"
@@ -113,46 +113,3 @@ def rank_upper_bound(dp: DecoratedPermutation, subset: Iterable[int]) -> int:
     if mask == full_mask(dp.n):
         raise ValueError("the bound is stated for proper subsets only")
     return mask.bit_count() - _cw_count(dp, mask)
-
-
-def _partitions_into(items: list[int], blocks: int) -> Iterator[list[list[int]]]:
-    """Set partitions of items into exactly the given number of nonempty blocks."""
-    if blocks == 0:
-        if not items:
-            yield []
-        return
-    if len(items) < blocks:
-        return
-    first, rest = items[0], items[1:]
-    # first alone in a new block
-    for part in _partitions_into(rest, blocks - 1):
-        yield [[first]] + part
-    # first joins an existing block
-    for part in _partitions_into(rest, blocks):
-        for idx in range(len(part)):
-            yield part[:idx] + [[first] + part[idx]] + part[idx + 1 :]
-
-
-def verify_ccw_rank_partition(dp: DecoratedPermutation, subset: Iterable[int]) -> bool:
-    """Search for a partition A = A_1 | ... | A_t with
-    rk(A) = sum_j (rk([n]) - ccw([n] \\ A_j)).
-
-    Partitions are tried in increasing number of blocks and the first witness
-    wins.  A loop-free dp is required for the ccw values to make sense.
-    """
-    if dp.loops:
-        raise ValueError(f"ccw is undefined in the presence of loops {sorted(dp.loops)}")
-    n = dp.n
-    mask = mask_of(subset, n)
-    target = positroid_of(dp).rank_table[mask]
-    if mask == 0:
-        return target == 0
-    items = sorted(members_of(mask))
-    rk_full = dp.rank
-    full = full_mask(n)
-    for blocks in range(1, len(items) + 1):
-        for part in _partitions_into(items, blocks):
-            total = sum(rk_full - _ccw_count(dp, full & ~mask_of(block, n)) for block in part)
-            if total == target:
-                return True
-    return False

@@ -229,19 +229,12 @@ class DecoratedPermutation:
         frozen = mask_of(positions, n)
         if frozen == full_mask(n):
             return self
+        free = [i for i in range(n) if not frozen >> i & 1]
         perm = list(self.perm)
         col = list(self.col)
-        for i in range(1, n + 1):
-            if frozen >> (i - 1) & 1:
-                continue
-            j = i
-            for d in range(1, n + 1):
-                cand = (i - 1 - d) % n + 1
-                if not frozen >> (cand - 1) & 1:
-                    j = cand
-                    break
-            perm[i - 1] = self.perm[j - 1]
-            col[i - 1] = LOOP if perm[i - 1] == i else 0
+        for prev, i in zip(free[-1:] + free[:-1], free):
+            perm[i] = self.perm[prev]
+            col[i] = LOOP if perm[i] == i + 1 else 0
         return DecoratedPermutation(tuple(perm), tuple(col))
 
     @classmethod

@@ -12,13 +12,14 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from .cyclic import members_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .lpm import Lpm, lpm_bases
 from .matroids import Matroid, positroid_of
-from .quotients import containment_check, is_quotient_rank, recover_shift_set
+from .quotients import is_quotient_rank
 
 DEFAULT_MAX_N = 8
-FLAG_PAIR_MAX_N = 6
+FLAG_PAIR_MAX_N = 7
 
 
 def _check_bound(n: int, max_n: Optional[int], default: int, what: str) -> None:
@@ -106,21 +107,27 @@ def elementary_flag_pairs(
     k: int, n: int, max_n: Optional[int] = None
 ) -> Iterator[tuple[DecoratedPermutation, DecoratedPermutation, frozenset[int]]]:
     """All (sigma, pi, A) with rank(pi) = k, rank(sigma) = k - 1, the
-    positroid of sigma an elementary quotient of the positroid of pi, and A
-    the recovered shift set: cyclic_shift(pi, A) == sigma always holds.
+    positroid of sigma an elementary quotient of the positroid of pi, and
+    cyclic_shift(pi, A) == sigma.
 
     By the shift theorem every such pair has sigma = cyclic_shift(pi, A) for
     a proper subset A of [n], and A holds every coloop of sigma, because a
     shift leaves no coloop on a free position.  So the candidates for each
     sigma are the rank-k pi that undo one of those shifts: sigma's
     permutation un-rotated on the free positions, with sigma's colours on
-    the frozen ones and either colour on a new fixed point.  Candidates
-    only need to include every flag pair; the verdict is left to the
-    filters.  Necklace and conecklace containment is necessary for a
-    two-step flag positroid but not sufficient (arXiv:2311.05340: 2 6 1 5 3
-    4 below the rotation of U_{4,6} passes both), so it only filters the
-    candidates; the rank oracle decides the ones that pass.  Output is
-    sigma-major, each part in the lexicographic order of
+    the frozen ones and either colour on a new fixed point.  Each candidate
+    therefore comes with its A, and that A is the one yielded.  It is
+    unique: any A with cyclic_shift(pi, A) == sigma freezes exactly the
+    positions where sigma and pi agree (see ``exists_shift``), so a pi hit
+    by a second A raises RuntimeError.
+
+    A shift from pi to sigma exists exactly when the necklace of sigma lies
+    entrywise in that of pi, so every candidate passes necklace containment
+    and only conecklace containment is tested.  Containment is necessary
+    for a two-step flag positroid but not sufficient (arXiv:2311.05340:
+    2 6 1 5 3 4 below the rotation of U_{4,6} passes it), so it only
+    filters the candidates; the rank oracle decides the ones that pass.
+    Output is sigma-major, each part in the lexicographic order of
     all_decorated_permutations, the order of the quadratic sweep over every
     pair that ``tests/support.quadratic_flag_pairs`` keeps as the oracle.
     """
@@ -138,19 +145,24 @@ def elementary_flag_pairs(
     for sigma in all_decorated_permutations(n, max_n, rank=k - 1):
         colours = _colours(sigma)
         coloops = colours >> n  # A must hold these
-        hits = set()
+        hits: dict[int, int] = {}  # position of pi -> the A that un-rotates sigma to it
         for a, unrotate in plans:
             if a & coloops != coloops:
                 continue
             for p, pi_colours in index.get(unrotate(sigma.perm), ()):
                 if (pi_colours ^ colours) & (a | a << n) == 0:
-                    hits.add(p)
+                    if p in hits:
+                        raise RuntimeError(
+                            f"shift sets {sorted(members_of(hits[p]))} and {sorted(members_of(a))} "
+                            f"both un-rotate {sigma.to_text()} to {pis[p].to_text()}"
+                        )
+                    hits[p] = a
         for p in sorted(hits):
             pi = pis[p]
-            if not all(containment_check(sigma, pi)):
+            if not pi.conecklace.contains_entrywise(sigma.conecklace):
                 continue
             if is_quotient_rank(positroid_of(sigma), positroid_of(pi)):
-                yield sigma, pi, recover_shift_set(pi, sigma)
+                yield sigma, pi, members_of(hits[p])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@
 A matroid stores its full basis family and derives everything else (rank
 function, circuits, duality, loops and coloops) from it.  Two routes are
 bitmask kernels: ``bases_from_necklace`` tests k-subsets against rank caps
-on cyclic intervals, and ``Matroid.rank_table`` closes the bases downward.
-The direct routes they replace, the Gale-order filter and max over bases,
-are kept as oracles in ``tests/support.py`` and cross-checked against them.
+on cyclic intervals, and ``Matroid.rank_table`` packs the ranks of all
+subsets one byte each and computes every field at once with big-int
+operations, over masks from ``byte_table_masks`` that the quotient check
+shares.  The direct routes they replace, the Gale-order filter and max over
+bases, are kept as oracles in ``tests/support.py`` and cross-checked
+against them.
 The rest (circuits, necklace extraction by Gale minima, the exchange-axiom
 check) is still direct search over subsets: exact at desk scale, and the
 substrate the quotient criteria are cross-validated against.
@@ -84,38 +87,33 @@ class Matroid:
         return True
 
     @cached_property
-    def rank_table(self) -> list[int]:
-        """rank_of every subset, indexed by bitmask.  Exponential; desk scale only.
+    def rank_table(self) -> bytes:
+        """rank_of every subset, one byte per subset, indexed by bitmask.
+        Exponential; desk scale only.
 
-        The independent sets are the downward closure of the bases; then
-        rk(S) = |S| when S is independent and max_x rk(S - x) otherwise,
-        O(2^n * n) in all.
+        The table is built as one integer with a byte field per subset, in
+        three passes of big-int operations over all 2^n fields at once:
+        close the basis indicator downward, one shift-and-OR per element,
+        to mark the independent sets; multiply by 0xFF and keep the
+        popcount table, so an independent S holds |S| and the rest 0; then
+        take rk(S) = max over subsets, one guarded-subtraction select per
+        element.  Ranks stay at most 16, below the guard bit 0x80.
         """
         if self.n > 16:
             raise ValueError("rank table supported only for n <= 16")
-        independent = bytearray(1 << self.n)
+        _, sizes, covers = byte_table_masks(self.n)
+        packed = 0
         for b in self.basis_masks:
-            independent[b] = 1
-        for s in range(full_mask(self.n), 0, -1):
-            if independent[s]:
-                bits = s
-                while bits:
-                    x = bits & -bits
-                    bits ^= x
-                    independent[s ^ x] = 1
-        table = [0] * (1 << self.n)
-        for s in range(1, 1 << self.n):
-            if independent[s]:
-                table[s] = s.bit_count()
-                continue
-            best, bits = 0, s
-            while bits:
-                x = bits & -bits
-                bits ^= x
-                if table[s ^ x] > best:
-                    best = table[s ^ x]
-            table[s] = best
-        return table
+            packed |= 1 << 8 * b
+        for shift, values, g in covers:
+            packed |= (packed & (values | g)) >> shift
+        packed = packed * 0xFF & sizes
+        for shift, values, g in covers:
+            a = packed & values
+            b = (packed << shift) & values
+            keep = ((((a | g) - b) & g) >> 7) * 0x7F  # fields with a >= b
+            packed ^= (a ^ b) & (values ^ keep)
+        return packed.to_bytes(1 << self.n, "little")
 
     def rank_of(self, subset: Iterable[int]) -> int:
         """rk(S) = max over bases of |S intersect B|."""
@@ -199,6 +197,30 @@ class Matroid:
     @classmethod
     def from_json(cls, obj: dict) -> "Matroid":
         return cls(obj["n"], [frozenset(b) for b in obj["bases"]])
+
+
+@lru_cache(maxsize=16)
+def byte_table_masks(n: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]]:
+    """Masks over a table of 2^n one-byte fields, field S at bits 8S..8S+7:
+    the guard bits 0x80 of every field, |S| in every field, and for each
+    element x the shift that moves field S - x onto field S together with
+    the value bits (0x7F) and guard bits (0x80) of the fields S that hold x.
+
+    Subtracting field-aligned values below 0x80 from operands whose guard
+    bits are set borrows no further than the field's own guard bit, and
+    that bit survives exactly when the field did not go negative.
+    """
+    size = 1 << n
+    guards = int.from_bytes(b"\x80" * size, "little")
+    sizes = int.from_bytes(bytes(s.bit_count() for s in range(size)), "little")
+    covers = []
+    for i in range(n):
+        h = 1 << i
+        blocks = size >> (i + 1)
+        values = int.from_bytes((bytes(h) + b"\x7f" * h) * blocks, "little")
+        held = int.from_bytes((bytes(h) + b"\x80" * h) * blocks, "little")
+        covers.append((8 * h, values, held))
+    return guards, sizes, tuple(covers)
 
 
 def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:

@@ -8,15 +8,13 @@ necklace and conecklace containment checks, and the CCW covering condition.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .arrows import _ccw_masks, _cw_masks
 from .cyclic import cyclic_components, full_mask, mask_of, members_of
 from .decorated import DecoratedPermutation
-from .matroids import Matroid, positroid_of
+from .matroids import Matroid, byte_table_masks, positroid_of
 
 
 @dataclass(frozen=True)
@@ -43,35 +41,22 @@ def _check_same_ground(m: Matroid, n: Matroid) -> None:
         raise ValueError(f"ground-set mismatch: {m.n} vs {n.n}")
 
 
-@lru_cache(maxsize=16)
-def _covering_masks(n: int) -> tuple[tuple[int, int, int], ...]:
-    """For each element x, over a table of 2^n one-byte fields indexed by
-    subset mask: the shift that moves field S - x onto field S, and the value
-    bits (0x7F) and guard bits (0x80) of the fields S that contain x."""
-    out = []
-    for i in range(n):
-        h = 1 << i
-        blocks = (1 << n) >> (i + 1)
-        values = int.from_bytes((bytes(h) + b"\x7f" * h) * blocks, "little")
-        guards = int.from_bytes((bytes(h) + b"\x80" * h) * blocks, "little")
-        out.append((8 * h, values, guards))
-    return tuple(out)
-
-
-def _gap_is_monotone(rm: list[int], rn: list[int], n: int) -> bool:
+def _gap_is_monotone(rm: bytes, rn: bytes, n: int) -> bool:
     """Whether gap = rn - rm never decreases along a covering pair (S - x, S).
 
-    The gaps (0..n, so below 0x80) are packed one byte per subset.  For each
-    x, one subtraction compares every field S containing x with field S - x
-    at once: the guard bit above field S survives exactly when
-    gap(S - x) <= gap(S), and no borrow crosses a field.
+    The tables are packed one byte per subset.  One guarded subtraction
+    takes every gap at once: a guard bit is cleared exactly where the gap
+    is negative, which already refutes monotonicity since gap(empty set)
+    is 0.  Then, for each x, one subtraction compares every field S
+    containing x with field S - x: the guard bit above field S survives
+    exactly when gap(S - x) <= gap(S), and no borrow crosses a field.
     """
-    try:
-        packed = int.from_bytes(bytes(map(operator.sub, rn, rm)), "little")
-    except ValueError:  # a negative gap lies below gap(empty set) = 0
+    guards, _, covers = byte_table_masks(n)
+    gap = (int.from_bytes(rn, "little") | guards) - int.from_bytes(rm, "little")
+    if gap & guards != guards:
         return False
-    for shift, values, guards in _covering_masks(n):
-        if (((packed & values) | guards) - ((packed << shift) & values)) & guards != guards:
+    for shift, values, g in covers:
+        if (((gap & values) | g) - ((gap << shift) & values)) & g != g:
             return False
     return True
 

@@ -22,8 +22,9 @@ from positroids import (
     recover_shift_set,
     shift_interval,
 )
-from positroids.cyclic import cyclic_pos, full_mask
-from positroids.decorated import GrassmannNecklace
+from positroids.arrows import _ccw_count
+from positroids.cyclic import cyclic_pos, full_mask, mask_of
+from positroids.decorated import LOOP, GrassmannNecklace
 from positroids.matroids import Matroid
 
 
@@ -138,6 +139,72 @@ def max_over_bases_rank_table(m: Matroid) -> list[int]:
     for s in range(1, 1 << m.n):
         table[s] = max((s & b).bit_count() for b in m.basis_masks)
     return table
+
+
+def backward_scan_shift(dp: DecoratedPermutation, positions) -> DecoratedPermutation:
+    """``DecoratedPermutation.cyclic_shift`` with the previous free position
+    of each free i found by scanning backwards around the circle, O(n^2)."""
+    n = dp.n
+    frozen = mask_of(positions, n)
+    if frozen == full_mask(n):
+        return dp
+    perm = list(dp.perm)
+    col = list(dp.col)
+    for i in range(1, n + 1):
+        if frozen >> (i - 1) & 1:
+            continue
+        j = i
+        for d in range(1, n + 1):
+            cand = (i - 1 - d) % n + 1
+            if not frozen >> (cand - 1) & 1:
+                j = cand
+                break
+        perm[i - 1] = dp.perm[j - 1]
+        col[i - 1] = LOOP if perm[i - 1] == i else 0
+    return DecoratedPermutation(tuple(perm), tuple(col))
+
+
+def _partitions_into(items: list[int], blocks: int):
+    """Set partitions of items into exactly the given number of nonempty blocks."""
+    if blocks == 0:
+        if not items:
+            yield []
+        return
+    if len(items) < blocks:
+        return
+    first, rest = items[0], items[1:]
+    # first alone in a new block
+    for part in _partitions_into(rest, blocks - 1):
+        yield [[first]] + part
+    # first joins an existing block
+    for part in _partitions_into(rest, blocks):
+        for idx in range(len(part)):
+            yield part[:idx] + [[first] + part[idx]] + part[idx + 1 :]
+
+
+def verify_ccw_rank_partition(dp: DecoratedPermutation, subset) -> bool:
+    """Search for a partition A = A_1 | ... | A_t with
+    rk(A) = sum_j (rk([n]) - ccw([n] \\ A_j)).
+
+    Partitions are tried in increasing number of blocks and the first witness
+    wins: a Bell-number search, desk scale only.  A loop-free dp is required
+    for the ccw values to make sense.
+    """
+    if dp.loops:
+        raise ValueError(f"ccw is undefined in the presence of loops {sorted(dp.loops)}")
+    n = dp.n
+    mask = mask_of(subset, n)
+    target = positroid_of(dp).rank_table[mask]
+    if mask == 0:
+        return target == 0
+    items = sorted(mask_members(mask))
+    full = full_mask(n)
+    for blocks in range(1, len(items) + 1):
+        for part in _partitions_into(items, blocks):
+            total = sum(dp.rank - _ccw_count(dp, full & ~mask_of(block, n)) for block in part)
+            if total == target:
+                return True
+    return False
 
 
 def interval_containment(sigma: DecoratedPermutation, pi: DecoratedPermutation) -> tuple[bool, bool]:

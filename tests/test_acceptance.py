@@ -26,7 +26,6 @@ from positroids import (
     uniform_dp,
     uniform_elementary_check,
     uniform_matroid,
-    verify_ccw_rank_partition,
 )
 from positroids.arrows import ccw_arrows, cw_arrows
 from positroids.cyclic import CyclicInterval, full_mask, members_of
@@ -209,11 +208,11 @@ def test_criterion_7_rank_machinery(dps, matroid_census):
         union = grid_a | grid_b
         popcounts = np.array([bin(s).count("1") for s in range(size)])
         for m in matroid_census(n):
-            rt = np.array(m.rank_table)
+            rt = np.frombuffer(m.rank_table, dtype=np.uint8)
             if not (rt[grid_a] + rt[grid_b] >= rt[inter] + rt[union]).all():
                 problems.append(("submodularity", n, m.to_json()))
             sub_checked += 1
-            dual_rt = np.array(m.dual().rank_table)
+            dual_rt = np.frombuffer(m.dual().rank_table, dtype=np.uint8)
             expected = rt[np.arange(size)[::-1]] + popcounts - m.rank
             if not (dual_rt == expected).all():
                 problems.append(("duality", n, m.to_json()))
@@ -274,7 +273,7 @@ def test_criterion_7_rank_machinery(dps, matroid_census):
                     problems.append(("ccw-dual", dp.to_text()))
                 dual_bridge += 1
                 for mask in range(1 << n):
-                    if not verify_ccw_rank_partition(dp, members_of(mask)):
+                    if not support.verify_ccw_rank_partition(dp, members_of(mask)):
                         problems.append(("partition", dp.to_text(), mask))
                     partition_checked += 1
 
@@ -337,7 +336,9 @@ def _vectorized_verdicts(census, n):
     subset.  Both are checked against the verbatim oracles for n <= 5 above.
     """
     size = 1 << n
-    rank_tables = np.array([m.rank_table for m in census], dtype=np.int8)
+    rank_tables = np.array(
+        [np.frombuffer(m.rank_table, dtype=np.uint8) for m in census], dtype=np.int8
+    )
     step_from, step_to = [], []
     for s in range(size):
         for x in range(n):

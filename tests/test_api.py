@@ -3,7 +3,13 @@ from pathlib import Path
 
 import positroids
 
-REMOVED = ("GrassmannMatrix", "interval_members", "validate", "validate_matroid")
+REMOVED = (
+    "GrassmannMatrix",
+    "interval_members",
+    "validate",
+    "validate_matroid",
+    "verify_ccw_rank_partition",
+)
 
 
 def test_every_exported_name_resolves():

@@ -14,7 +14,6 @@ from positroids import (
     rank_cyclic_interval,
     rank_upper_bound,
     uniform_dp,
-    verify_ccw_rank_partition,
 )
 from positroids.cyclic import CyclicInterval, full_mask, members_of
 
@@ -161,21 +160,21 @@ class TestCwDropAndTrickleUp:
 class TestPartitionIdentity:
     def test_empty_set(self):
         dp = DecoratedPermutation.from_text("2 6 1 5 3 4")
-        assert verify_ccw_rank_partition(dp, frozenset())
+        assert support.verify_ccw_rank_partition(dp, frozenset())
 
     def test_worked_example(self):
         dp = DecoratedPermutation.from_text("2 6 1 5 3 4")
-        assert verify_ccw_rank_partition(dp, {1, 2, 4, 5})
+        assert support.verify_ccw_rank_partition(dp, {1, 2, 4, 5})
 
     def test_uniform_all_small_subsets(self):
         dp = uniform_dp(4, 6)
         for mask in range(1 << 6):
             if bin(mask).count("1") <= 4:
-                assert verify_ccw_rank_partition(dp, members_of(mask))
+                assert support.verify_ccw_rank_partition(dp, members_of(mask))
 
     def test_loop_rejected(self):
         with pytest.raises(ValueError):
-            verify_ccw_rank_partition(DP_Q, {1})
+            support.verify_ccw_rank_partition(DP_Q, {1})
 
     def test_exhaustive_tiny(self, dps):
         for n in range(1, 5):
@@ -183,7 +182,7 @@ class TestPartitionIdentity:
                 if dp.loops:
                     continue
                 for mask in range(1 << n):
-                    assert verify_ccw_rank_partition(dp, members_of(mask))
+                    assert support.verify_ccw_rank_partition(dp, members_of(mask))
 
 
 @settings(max_examples=60, deadline=None)

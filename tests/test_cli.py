@@ -218,7 +218,7 @@ class TestEnumerate:
         [
             ("--what", "positroids", "--k", "9", "--n", "3"),
             ("--what", "positroids", "--n", "9"),
-            ("--what", "flag-pairs", "--n", "7"),
+            ("--what", "flag-pairs", "--n", "8"),
         ],
     )
     def test_refusal_creates_no_out_file(self, capsys, monkeypatch, tmp_path, argv):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import support
 from positroids import (
@@ -247,6 +247,22 @@ class TestCyclicShift:
             for mask in range(1 << 4):
                 members = [i + 1 for i in range(4) if mask >> i & 1]
                 assert dp.cyclic_shift(members).is_valid()
+
+    def test_matches_backward_scan_up_to_six(self, dps):
+        for n in range(1, 7):
+            for dp in dps(n):
+                for mask in range(1 << n):
+                    members = support.mask_members(mask)
+                    assert dp.cyclic_shift(members) == support.backward_scan_shift(dp, members), (
+                        dp.to_text(),
+                        sorted(members),
+                    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(support.decorated_permutations(min_n=7, max_n=10), st.data())
+    def test_matches_backward_scan_beyond(self, dp, data):
+        members = data.draw(support.subsets(dp.n))
+        assert dp.cyclic_shift(members) == support.backward_scan_shift(dp, members)
 
 
 class TestShiftInterval:

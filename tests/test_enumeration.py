@@ -8,8 +8,11 @@ from positroids import (
     all_positroids,
     census_records,
     elementary_flag_pairs,
+    exists_shift,
     positroid_of,
+    recover_shift_set,
 )
+from positroids import enumeration
 
 
 class TestDecoratedPermutationCensus:
@@ -104,19 +107,36 @@ class TestFlagPairs:
 
     def test_bound(self):
         with pytest.raises(ValueError):
-            next(elementary_flag_pairs(2, 7))
+            next(elementary_flag_pairs(2, 8))
+
+    @staticmethod
+    def _check_shift_sets(triples):
+        # the set kept from the candidate step is the one both routes derive
+        for sigma, pi, shift_set in triples:
+            assert shift_set == recover_shift_set(pi, sigma) == exists_shift(pi, sigma)
 
     def test_matches_quadratic_oracle_up_to_six(self):
         # triple for triple, in order
         for n in range(1, 7):
             for k in range(1, n + 1):
-                assert list(elementary_flag_pairs(k, n)) == list(support.quadratic_flag_pairs(k, n))
+                got = list(elementary_flag_pairs(k, n))
+                assert got == list(support.quadratic_flag_pairs(k, n))
+                self._check_shift_sets(got)
 
     @pytest.mark.parametrize("k", [1, 2, 6, 7])
     def test_matches_quadratic_oracle_at_seven(self, k):
         expected = list(support.quadratic_flag_pairs(k, 7, max_n=7))
         assert expected
-        assert list(elementary_flag_pairs(k, 7, max_n=7)) == expected
+        got = list(elementary_flag_pairs(k, 7, max_n=7))
+        assert got == expected
+        self._check_shift_sets(got)
+
+    def test_second_shift_set_for_one_pi_raises(self, monkeypatch):
+        # mutation: every plan runs twice, so each candidate is hit twice
+        plans = enumeration._unrotation_plans
+        monkeypatch.setattr(enumeration, "_unrotation_plans", lambda n: plans(n) * 2)
+        with pytest.raises(RuntimeError, match=r"^shift sets \[\] and \[\] both un-rotate 1o 2o to "):
+            next(elementary_flag_pairs(1, 2))
 
 
 class TestLpmCensus:

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import support
 from positroids.cyclic import mask_of
@@ -193,7 +193,7 @@ class TestKernelsAgainstOracles:
     def test_rank_tables_on_matroid_census(self, matroid_census):
         for n in range(1, 7):
             for m in matroid_census(n):
-                assert m.rank_table == support.max_over_bases_rank_table(m), m.to_json()
+                assert m.rank_table == bytes(support.max_over_bases_rank_table(m)), m.to_json()
 
     @settings(max_examples=30, deadline=None)
     @given(support.decorated_permutations(min_n=9, max_n=12))
@@ -203,7 +203,23 @@ class TestKernelsAgainstOracles:
         assert dp.rank == len(dp.anti_exceedances(1))
         m = bases_from_necklace(dp.necklace)
         assert m == support.gale_filter_bases(dp.necklace)
-        assert m.rank_table == support.max_over_bases_rank_table(m)
+        assert m.rank_table == bytes(support.max_over_bases_rank_table(m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_rank_table_of_any_family(self, data):
+        # the packed closure needs no exchange axiom: rk(S) = max |S & B|
+        n = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(0, n))
+        basis = st.sets(st.integers(1, n), min_size=k, max_size=k)
+        m = Matroid(n, data.draw(st.lists(basis, min_size=1, max_size=8)))
+        assert m.rank_table == bytes(support.max_over_bases_rank_table(m))
+
+    def test_rank_table_at_sixteen(self):
+        m = Matroid(16, [range(1, 17, 2), range(2, 17, 2), range(5, 13)])
+        assert m.rank_table == bytes(support.max_over_bases_rank_table(m))
+        with pytest.raises(ValueError, match="n <= 16"):
+            Matroid(17, [{1}]).rank_table
 
     @settings(max_examples=200, deadline=None)
     @given(support.subset_sequences(max_n=9))
