@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .cyclic import CyclicInterval, full_mask, mask_of
+from .cyclic import CACHE_SIZE, CyclicInterval, full_mask, mask_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
 
@@ -56,12 +56,12 @@ def ccw_arrows(dp: DecoratedPermutation) -> ArrowSet:
     return ArrowSet(dp, CCW, arrows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _cw_masks(dp: DecoratedPermutation) -> tuple[int, ...]:
     return cw_arrows(dp).masks()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _ccw_masks(dp: DecoratedPermutation) -> tuple[int, ...]:
     return ccw_arrows(dp).masks()
 

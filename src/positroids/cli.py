@@ -43,23 +43,22 @@ def _payload(value: str) -> str:
     return stripped
 
 
+def _from_json(cls, payload: str):
+    """cls.from_json of a JSON object, naming the field when one is missing."""
+    obj = json.loads(payload)
+    if not isinstance(obj, dict):
+        raise ValueError("payload must be a JSON object")
+    try:
+        return cls.from_json(obj)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+
+
 def _parse_dp(payload: str) -> DecoratedPermutation:
     payload = payload.strip()
-    if payload.startswith("{"):
-        return DecoratedPermutation.from_json(json.loads(payload))
+    if payload.startswith(("{", "[")):
+        return _from_json(DecoratedPermutation, payload)
     return DecoratedPermutation.from_text(payload)
-
-
-def _parse_matroid(payload: str) -> Matroid:
-    return Matroid.from_json(json.loads(payload))
-
-
-def _parse_necklace(payload: str) -> GrassmannNecklace:
-    return GrassmannNecklace.from_json(json.loads(payload))
-
-
-def _parse_lpm(payload: str) -> Lpm:
-    return Lpm.from_json(json.loads(payload))
 
 
 def _parse_freeze(text: str) -> frozenset[int]:
@@ -73,11 +72,11 @@ def _to_matroid(kind: str, payload: str) -> Matroid:
     if kind == "dp":
         return positroid_of(_parse_dp(payload))
     if kind == "necklace":
-        return bases_from_necklace(_parse_necklace(payload))
+        return bases_from_necklace(_from_json(GrassmannNecklace, payload))
     if kind == "matroid":
-        return _parse_matroid(payload)
+        return _from_json(Matroid, payload)
     if kind == "lpm":
-        return lpm_bases(_parse_lpm(payload))
+        return lpm_bases(_from_json(Lpm, payload))
     raise ValueError(f"unknown representation kind {kind!r}")
 
 
@@ -137,8 +136,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_check_quotient(args) -> int:
-    m = _parse_matroid(_payload(args.m))
-    n = _parse_matroid(_payload(args.n))
+    m = _from_json(Matroid, _payload(args.m))
+    n = _from_json(Matroid, _payload(args.n))
     for label, mat in (("--m", m), ("--n", n)):
         if not mat.is_valid():
             raise ValueError(f"{label} is not a matroid (exchange axiom fails)")
@@ -151,8 +150,8 @@ def _cmd_check_uniform(args) -> int:
 
 
 def _cmd_check_lpm(args) -> int:
-    sub = _parse_lpm(_payload(args.sub))
-    sup = _parse_lpm(_payload(args.sup))
+    sub = _from_json(Lpm, _payload(args.sub))
+    sup = _from_json(Lpm, _payload(args.sup))
     return _emit_verdict(lpm_quotient_greedy(sub, sup), args.json, "lpm quotient")
 
 

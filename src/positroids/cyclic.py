@@ -8,15 +8,22 @@ Conventions used throughout the package:
   exhaustive sweeps; n is bounded by the machine word (n <= 64);
 * ``<_i`` denotes the rotated total order i < i+1 < ... < n < 1 < ... < i-1;
 * the half-open cyclic interval (i, i] is empty.
+
+Gale extrema are bitmask kernels too: ``gale_extrema`` reads the minimum
+(maximum) under <_i off the prefix (suffix) counts of the whole family at
+once, and ``gale_min``/``gale_max`` wrap it for one i.  The sorted-tuple
+search it replaces is kept as an oracle in ``tests/support.py``.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 MAX_GROUND = 64
+# maxsize of every bounded global cache (LPM bases, uniform matroids, arrows)
+CACHE_SIZE = 4096
 
 EMPTY = "empty"
 FULL = "full"
@@ -121,39 +128,72 @@ def gale_leq(i: int, a: Iterable[int], b: Iterable[int], n: int) -> bool:
     return all(pa <= pb for pa, pb in zip(ka, kb))
 
 
-def _pos_key(i: int, s: Iterable[int], n: int) -> tuple[int, ...]:
-    return tuple(sorted(cyclic_pos(i, x, n) for x in s))
+def gale_extrema(
+    family: Sequence[frozenset[int]], masks: Sequence[int], n: int, starts: Iterable[int], maximum: bool
+) -> tuple[frozenset[int], ...]:
+    """The <=_i-minimum (maximum) of a nonempty family for each i in starts,
+    as the family's own objects; masks are the members' checked bitmasks.
+
+    Let f(P) be the largest |B & P| over the family at each prefix P of <_i
+    (of its reverse, for a maximum).  Among equal-size sets M <=_i B exactly
+    when |M & P| >= |B & P| at every prefix, so a minimum M is the set G of
+    elements where f rises (the greedy basis, Gale 1968), and G, which has
+    |G & P| = f(P), is the minimum whenever it is a member.  So an extremum
+    exists exactly when G is in the family.  The counts of all members sit
+    in one int, a byte-aligned field each with a guard bit on top, so each
+    step is one add and one guarded subtraction.
+    """
+    sizes = set(map(int.bit_count, masks))
+    if len(sizes) > 1:
+        raise ValueError(f"Gale order compares equal-size subsets, got sizes {min(sizes)} and {max(sizes)}")
+    (k,) = sizes
+    width = n // 8 + 1  # bytes per field: the n mask bits and a guard bit above every count
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(masks), "little")
+    guards = ones << (8 * width - 1)
+    packed = int.from_bytes(b"".join(b.to_bytes(width, "little") for b in masks), "little")
+    columns = [(packed >> x) & ones for x in range(n)]
+    member = dict(zip(reversed(masks), reversed(family)))
+    step = -1 if maximum else 1
+    out = []
+    for i in starts:
+        counts, target, extremum, found = guards, ones, 0, 0
+        x = i - 2 if maximum else i - 1
+        while found < k:
+            x %= n
+            counts += columns[x]
+            if (counts - target) & guards:
+                extremum |= 1 << x
+                target += ones
+                found += 1
+            x += step
+        if extremum not in member:
+            word = "maximum" if maximum else "minimum"
+            raise ValueError(f"family has no Gale {word} under <_{i}; not a matroid basis family")
+        out.append(member[extremum])
+    return tuple(out)
 
 
-def _gale_extremum(i: int, family: Iterable[Iterable[int]], n: int, maximum: bool) -> frozenset[int]:
+def _extremum_of(i: int, family: Iterable[Iterable[int]], n: int, maximum: bool) -> frozenset[int]:
     check_ground(n)
     check_element(i, n)
     fam = [frozenset(s) for s in family]
-    word = "maximum" if maximum else "minimum"
     if not fam:
-        raise ValueError(f"Gale {word} of an empty family")
-    candidate = (max if maximum else min)(fam, key=lambda s: _pos_key(i, s, n))
-    for other in fam:
-        low, high = (other, candidate) if maximum else (candidate, other)
-        if not gale_leq(i, low, high, n):
-            raise ValueError(f"family has no Gale {word} under <_{i}; not a matroid basis family")
-    return candidate
+        raise ValueError(f"Gale {'maximum' if maximum else 'minimum'} of an empty family")
+    check_members(fam, n)
+    return gale_extrema(fam, tuple(map(bits_of, fam)), n, (i,), maximum)[0]
 
 
 def gale_min(i: int, family: Iterable[Iterable[int]], n: int) -> frozenset[int]:
-    """The unique <=_i-minimum of the family, when one exists.
-
-    A Gale minimum, when it exists, is also the lexicographic minimum of the
-    <_i-sorted position tuples, so we take that candidate and verify it
-    against every member.  A family with no minimum (which a matroid basis
+    """The unique <=_i-minimum of a family of equal-size subsets of [n], by
+    ``gale_extrema``.  A family with no minimum (which a matroid basis
     family can never be) raises ValueError.
     """
-    return _gale_extremum(i, family, n, maximum=False)
+    return _extremum_of(i, family, n, maximum=False)
 
 
 def gale_max(i: int, family: Iterable[Iterable[int]], n: int) -> frozenset[int]:
-    """The unique <=_i-maximum of the family, when one exists (see gale_min)."""
-    return _gale_extremum(i, family, n, maximum=True)
+    """The unique <=_i-maximum of the family (see gale_min)."""
+    return _extremum_of(i, family, n, maximum=True)
 
 
 @dataclass(frozen=True)

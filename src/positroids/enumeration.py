@@ -16,7 +16,7 @@ from .cyclic import members_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .lpm import Lpm, lpm_bases
 from .matroids import Matroid, positroid_of
-from .quotients import is_quotient_rank
+from .quotients import _gap_is_monotone
 
 DEFAULT_MAX_N = 8
 FLAG_PAIR_MAX_N = 7
@@ -126,7 +126,9 @@ def elementary_flag_pairs(
     and only conecklace containment is tested.  Containment is necessary
     for a two-step flag positroid but not sufficient (arXiv:2311.05340:
     2 6 1 5 3 4 below the rotation of U_{4,6} passes it), so it only
-    filters the candidates; the rank oracle decides the ones that pass.
+    filters the candidates.  The packed rank-gap test decides the ones that
+    pass: the verdict of ``is_quotient_rank`` without the witness search it
+    runs after a rejection, which the sweep would throw away.
     Output is sigma-major, each part in the lexicographic order of
     all_decorated_permutations, the order of the quadratic sweep over every
     pair that ``tests/support.quadratic_flag_pairs`` keeps as the oracle.
@@ -161,7 +163,7 @@ def elementary_flag_pairs(
             pi = pis[p]
             if not pi.conecklace.contains_entrywise(sigma.conecklace):
                 continue
-            if is_quotient_rank(positroid_of(sigma), positroid_of(pi)):
+            if _gap_is_monotone(positroid_of(sigma).rank_table, positroid_of(pi).rank_table, n):
                 yield sigma, pi, members_of(hits[p])
 
 

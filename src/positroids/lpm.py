@@ -1,19 +1,21 @@
 """Lattice path matroids M[U, L] and their two quotient criteria.
 
 An LPM is cut out of C([n], k) by sandwiching between an upper and a lower
-k-subset in the Gale order at 1.  Necklaces and conecklaces of LPMs are
-computed through the generic matroid oracle (Gale minima and maxima over
-the explicit bases) so that the fast pairing criterion is checked against
-independently produced data.
+k-subset in the Gale order at 1, which compares sorted tuples componentwise:
+B is a basis exactly when u_t <= b_t <= l_t at every position t.  Necklaces
+and conecklaces of LPMs are the generic matroid ones (Gale minima and maxima
+over the explicit bases, ``cyclic.gale_extrema``), so the fast pairing
+criterion is checked against independently produced data.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 from typing import Iterable
 
-from .cyclic import check_element, check_ground, gale_leq
+from .cyclic import CACHE_SIZE, check_element, check_ground, gale_leq
 from .matroids import Matroid
 from .quotients import QuotientVerdict
 
@@ -52,13 +54,18 @@ class Lpm:
         return cls(obj["n"], obj["U"], obj["L"])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def lpm_bases(p: Lpm) -> Matroid:
-    """All k-subsets B with U <=_1 B <=_1 L; nonempty since U qualifies."""
+    """All k-subsets B with U <=_1 B <=_1 L; nonempty since U qualifies.
+
+    Combinations come out sorted, so the Gale conditions are the positional
+    bounds u_t <= b_t <= l_t on the sorted U and L.
+    """
+    upper, lower = sorted(p.U), sorted(p.L)
     found = [
-        frozenset(combo)
+        combo
         for combo in itertools.combinations(range(1, p.n + 1), p.k)
-        if gale_leq(1, p.U, combo, p.n) and gale_leq(1, combo, p.L, p.n)
+        if all(map(le, upper, combo)) and all(map(le, combo, lower))
     ]
     return Matroid(p.n, found)
 

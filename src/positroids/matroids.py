@@ -1,17 +1,18 @@
 """Explicit-bases matroids and the positroid basis layer.
 
 A matroid stores its full basis family and derives everything else (rank
-function, circuits, duality, loops and coloops) from it.  Two routes are
+function, circuits, duality, loops and coloops) from it.  Three routes are
 bitmask kernels: ``bases_from_necklace`` tests k-subsets against rank caps
-on cyclic intervals, and ``Matroid.rank_table`` packs the ranks of all
-subsets one byte each and computes every field at once with big-int
-operations, over masks from ``byte_table_masks`` that the quotient check
-shares.  The direct routes they replace, the Gale-order filter and max over
-bases, are kept as oracles in ``tests/support.py`` and cross-checked
-against them.
-The rest (circuits, necklace extraction by Gale minima, the exchange-axiom
-check) is still direct search over subsets: exact at desk scale, and the
-substrate the quotient criteria are cross-validated against.
+on cyclic intervals; ``Matroid.rank_table`` packs the ranks of all subsets
+one byte each and computes every field at once with big-int operations,
+over masks from ``byte_table_masks`` that the quotient check shares; and
+the necklace and conecklace come from ``cyclic.gale_extrema`` over the
+basis masks.  The direct routes they replace, the Gale-order filter, max
+over bases and the sorted-tuple Gale extremum, are kept as oracles in
+``tests/support.py`` and cross-checked against them.
+The rest (circuits, the exchange-axiom check) is still direct search over
+subsets: exact at desk scale, and the substrate the quotient criteria are
+cross-validated against.
 """
 from __future__ import annotations
 
@@ -21,12 +22,12 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .cyclic import (
+    CACHE_SIZE,
     bits_of,
     check_ground,
     check_members,
     full_mask,
-    gale_max,
-    gale_min,
+    gale_extrema,
     mask_of,
     members_of,
 )
@@ -165,19 +166,22 @@ class Matroid:
 
     @cached_property
     def _necklace(self) -> GrassmannNecklace:
-        entries = tuple(gale_min(i, self.bases, self.n) for i in range(1, self.n + 1))
+        entries = gale_extrema(self.bases, self.basis_masks, self.n, range(1, self.n + 1), maximum=False)
         return GrassmannNecklace(self.n, self.rank, entries)
 
     @cached_property
     def _conecklace(self) -> GrassmannNecklace:
-        entries = tuple(gale_max(i, self.bases, self.n) for i in range(1, self.n + 1))
+        entries = gale_extrema(self.bases, self.basis_masks, self.n, range(1, self.n + 1), maximum=True)
         return GrassmannNecklace(self.n, self.rank, entries, "conecklace")
 
     def grassmann_necklace(self) -> GrassmannNecklace:
-        """Entry i is the <=_i-minimum basis (the Gale-order oracle route)."""
+        """Entry i is the <=_i-minimum basis, read off the prefix counts of
+        all basis masks at once (``gale_extrema``); raises ValueError when
+        some <=_i has no minimum, which a matroid never lacks."""
         return self._necklace
 
     def grassmann_conecklace(self) -> GrassmannNecklace:
+        """Entry i is the <=_i-maximum basis (see grassmann_necklace)."""
         return self._conecklace
 
     def is_positroid(self) -> bool:
@@ -272,7 +276,7 @@ def positroid_of(dp: DecoratedPermutation) -> Matroid:
     return bases_from_necklace(dp.necklace)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def uniform_matroid(k: int, n: int) -> Matroid:
     """U_{k,n}: every k-subset of [n] is a basis."""
     check_ground(n)

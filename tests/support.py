@@ -23,7 +23,7 @@ from positroids import (
     shift_interval,
 )
 from positroids.arrows import _ccw_count
-from positroids.cyclic import cyclic_pos, full_mask, mask_of
+from positroids.cyclic import check_element, check_ground, cyclic_pos, full_mask, gale_leq, mask_of
 from positroids.decorated import LOOP, GrassmannNecklace
 from positroids.matroids import Matroid
 
@@ -131,6 +131,26 @@ def gale_filter_bases(necklace: GrassmannNecklace) -> Matroid:
     if not found:
         raise ValueError("no subset dominates every necklace entry; invalid necklace")
     return Matroid(n, found)
+
+
+def sorted_gale_extremum(i, family, n, maximum: bool) -> frozenset[int]:
+    """``gale_min``/``gale_max`` by sorted position tuples: the lexicographic
+    extremum of the <_i-sorted tuples is the only candidate, and it is
+    verified against every member with ``gale_leq``.  Raises the library's
+    ValueErrors for an empty family and for a family with no extremum."""
+    check_ground(n)
+    check_element(i, n)
+    fam = [frozenset(s) for s in family]
+    word = "maximum" if maximum else "minimum"
+    if not fam:
+        raise ValueError(f"Gale {word} of an empty family")
+    key = lambda s: tuple(sorted(cyclic_pos(i, x, n) for x in s))
+    candidate = (max if maximum else min)(fam, key=key)
+    for other in fam:
+        low, high = (other, candidate) if maximum else (candidate, other)
+        if not gale_leq(i, low, high, n):
+            raise ValueError(f"family has no Gale {word} under <_{i}; not a matroid basis family")
+    return candidate
 
 
 def max_over_bases_rank_table(m: Matroid) -> list[int]:

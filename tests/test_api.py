@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import positroids
+from positroids import arrows
 
 REMOVED = (
     "GrassmannMatrix",
@@ -35,3 +36,9 @@ def test_no_assert_in_library_source():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_global_caches_are_bounded():
+    for cached in (positroids.lpm_bases, positroids.uniform_matroid, arrows._cw_masks, arrows._ccw_masks):
+        maxsize = cached.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0, cached

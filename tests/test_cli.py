@@ -54,6 +54,25 @@ class TestConvert:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "source, payload, message",
+        [
+            ("lpm", '{"n":3}', "missing field 'U'"),
+            ("matroid", '{"n":3}', "missing field 'bases'"),
+            ("dp", '{"perm":[1,2]}', "missing field 'col'"),
+            ("necklace", '{"k":1}', "missing field 'entries'"),
+            ("matroid", "[1, 2]", "payload must be a JSON object"),
+            ("lpm", "[1, 2]", "payload must be a JSON object"),
+            ("dp", "[1, 2]", "payload must be a JSON object"),
+            ("necklace", "5", "payload must be a JSON object"),
+        ],
+    )
+    def test_malformed_payload_is_named(self, capsys, source, payload, message):
+        code, out, err = run(capsys, "convert", "--from", source, "--to", "dp", "--input", payload)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_json_flag_for_dp_output(self, capsys):
         code, out, _ = run(
             capsys, "convert", "--from", "dp", "--to", "dp", "--input", "2 1", "--json"

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import support
 from positroids.cyclic import (
@@ -123,6 +123,74 @@ class TestGaleMinMax:
     def test_empty_family_raises(self):
         with pytest.raises(ValueError):
             gale_min(1, [], 4)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _assert_same_outcome(i, family, n, maximum, strict_message=True):
+    expected = _outcome(support.sorted_gale_extremum, i, family, n, maximum)
+    got = _outcome(gale_max if maximum else gale_min, i, family, n)
+    if isinstance(expected, ValueError):
+        assert isinstance(got, ValueError), (i, family, got)
+        if strict_message:
+            assert str(got) == str(expected)
+    else:
+        # the family's own object, the first of any equal members
+        assert got is expected, (i, family, got, expected)
+
+
+class TestGaleKernelAgainstOracle:
+    """gale_min/gale_max, read off prefix counts, against the sorted-tuple
+    search in ``support``: the same set object or the same refusal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_family(self, data):
+        n = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(0, n))
+        in_range = st.integers(1, n)
+        element = st.one_of(in_range, st.integers(-1, n + 2), st.sampled_from([1.5, 2.0]), st.booleans())
+        family = data.draw(
+            st.one_of(
+                st.lists(st.frozensets(in_range, min_size=k, max_size=k), max_size=8),
+                st.lists(st.frozensets(element, max_size=4), max_size=6),
+            )
+        )
+        # off-range, non-int or unequal-size members: any ValueError will do,
+        # as the oracle's message depends on the order it meets them in
+        well_formed = len(set(map(len, family))) <= 1 and all(
+            type(x) is int and 1 <= x <= n for s in family for x in s
+        )
+        for i in range(1, n + 1):
+            for maximum in (False, True):
+                _assert_same_outcome(i, family, n, maximum, strict_message=well_formed)
+
+    def test_families_beyond_rank_table_range(self):
+        # n > 16, where Matroid.rank_table refuses: arcs of length 5 on [20]
+        # have both extrema at every i; one extra member breaks some of them
+        arcs = [frozenset((j + d) % 20 + 1 for d in range(5)) for j in range(20)]
+        for family in (arcs, arcs + [frozenset({1, 3, 5, 7, 9})]):
+            for i in range(1, 21):
+                for maximum in (False, True):
+                    _assert_same_outcome(i, family, 20, maximum)
+        _assert_same_outcome(1, [frozenset({1, 24}), frozenset({2, 23})], 24, False)
+        assert gale_min(17, [{1, 2}, {1, 3}, {2, 3}], 18) == {1, 2}
+        assert gale_max(17, [{1, 2}, {1, 3}, {2, 3}], 18) == {2, 3}
+
+    def test_refusals_keep_their_messages(self):
+        with pytest.raises(ValueError, match="element 0 out of range 1..4"):
+            gale_min(1, [{0, 1}], 4)
+        with pytest.raises(ValueError, match="element 5 out of range 1..4"):
+            gale_min(5, [{1}], 4)
+        with pytest.raises(ValueError, match="equal-size subsets, got sizes 1 and 2"):
+            gale_max(1, [{1}, {1, 2}], 4)
+        with pytest.raises(ValueError, match="Gale maximum of an empty family"):
+            gale_max(1, iter(()), 4)
 
 
 class TestCyclicInterval:

@@ -59,6 +59,18 @@ class TestBases:
         }
         assert set(lpm_bases(SUB).bases) == expected
 
+    def test_positional_bounds_match_naive_filter_up_to_seven(self):
+        for n in range(1, 8):
+            for k in range(n + 1):
+                combos = [frozenset(c) for c in itertools.combinations(range(1, n + 1), k)]
+                for p in all_lpms(k, n):
+                    expected = {
+                        c
+                        for c in combos
+                        if support.naive_gale_leq(1, p.U, c, n) and support.naive_gale_leq(1, c, p.L, n)
+                    }
+                    assert set(lpm_bases(p).bases) == expected, p
+
 
 class TestEndpointLaw:
     def test_u_is_first_necklace_entry(self):

@@ -182,8 +182,9 @@ class TestNecklaceBridge:
 
 
 class TestKernelsAgainstOracles:
-    """bases_from_necklace against the Gale-order filter, and rank_table
-    against max over bases, in ``support``."""
+    """bases_from_necklace against the Gale-order filter, rank_table against
+    max over bases, and the necklaces against the sorted-tuple Gale
+    extremum, in ``support``."""
 
     def test_bases_exhaustive_up_to_seven(self, dps):
         for n in range(1, 8):
@@ -220,6 +221,42 @@ class TestKernelsAgainstOracles:
         assert m.rank_table == bytes(support.max_over_bases_rank_table(m))
         with pytest.raises(ValueError, match="n <= 16"):
             Matroid(17, [{1}]).rank_table
+
+    def test_necklaces_exhaustive_up_to_seven(self, dps):
+        for n in range(1, 8):
+            for dp in dps(n):
+                m = positroid_of(dp)
+                assert m.grassmann_necklace() == dp.necklace, dp
+                assert m.grassmann_conecklace() == dp.conecklace, dp
+
+    def test_necklaces_on_matroid_census(self, matroid_census):
+        # non-positroid matroids too: every Gale extremum exists
+        for n in range(1, 6):
+            for m in matroid_census(n):
+                for maximum, neck in ((False, m.grassmann_necklace()), (True, m.grassmann_conecklace())):
+                    expected = tuple(support.sorted_gale_extremum(i, m.bases, n, maximum) for i in range(1, n + 1))
+                    assert neck.entries == expected, m.to_json()
+                    # entries are the matroid's own basis objects
+                    assert all(any(e is b for b in m.bases) for e in neck.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_necklace_of_any_family(self, data):
+        # the same entries or the same refusal, at the first i that has none
+        n = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(0, n))
+        basis = st.one_of(st.sets(st.integers(1, n), min_size=k, max_size=k), st.sets(st.integers(1, n)))
+        m = Matroid(n, data.draw(st.lists(basis, min_size=1, max_size=8)))
+        for maximum, route in ((False, m.grassmann_necklace), (True, m.grassmann_conecklace)):
+            try:
+                expected = [support.sorted_gale_extremum(i, m.bases, n, maximum) for i in range(1, n + 1)]
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    route()
+                if len({len(b) for b in m.bases}) == 1:
+                    assert str(got.value) == str(exc)
+            else:
+                assert list(route().entries) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(support.subset_sequences(max_n=9))
