@@ -183,6 +183,8 @@ def _cmd_arrows(args) -> int:
 def _cmd_enumerate(args) -> int:
     default = FLAG_PAIR_MAX_N if args.what == "flag-pairs" else DEFAULT_MAX_N
     env = os.environ.get("POSITROID_MAX_N")
+    if env is not None and not (env.strip().isdecimal() and int(env) > 0):
+        raise ValueError(f"POSITROID_MAX_N must be a positive integer, got {env!r}")
     bound = default if env is None else int(env)
     check_census(args.what, args.k, args.n, max_n=bound)
     if args.n > default:

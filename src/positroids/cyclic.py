@@ -56,6 +56,14 @@ def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
         check_element(x, n)
 
 
+def distinct_members(items: list, what: str) -> frozenset:
+    """The members of a JSON list as a set; refuses a repeated element."""
+    members = frozenset(items)
+    if len(members) != len(items):
+        raise ValueError(f"{what} {items} repeats an element")
+    return members
+
+
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 
@@ -274,9 +282,6 @@ class CyclicInterval:
 
     def __contains__(self, x: int) -> bool:
         return 1 <= x <= self.n and bool(self.mask >> (x - 1) & 1)
-
-    def is_subset_of(self, other: "CyclicInterval") -> bool:
-        return self.mask & ~other.mask == 0
 
     def to_json(self) -> dict:
         if self.kind == ARC:

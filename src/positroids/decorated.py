@@ -21,6 +21,7 @@ from .cyclic import (
     check_ground,
     check_members,
     cyclic_pos,
+    distinct_members,
     full_mask,
     mask_of,
 )
@@ -99,7 +100,7 @@ class GrassmannNecklace:
 
     @classmethod
     def from_json(cls, obj: dict, orientation: str = "necklace") -> "GrassmannNecklace":
-        entries = [frozenset(e) for e in obj["entries"]]
+        entries = [distinct_members(e, "entry") for e in obj["entries"]]
         return cls(len(entries), obj["k"], tuple(entries), orientation)
 
 

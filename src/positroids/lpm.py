@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import le
 from typing import Iterable
 
-from .cyclic import CACHE_SIZE, check_element, check_ground, gale_leq
+from .cyclic import CACHE_SIZE, check_element, check_ground, distinct_members, gale_leq
 from .matroids import Matroid
 from .quotients import QuotientVerdict
 
@@ -51,7 +51,7 @@ class Lpm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Lpm":
-        return cls(obj["n"], obj["U"], obj["L"])
+        return cls(obj["n"], distinct_members(obj["U"], "U"), distinct_members(obj["L"], "L"))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -111,14 +111,8 @@ def lpm_quotient_containment(sub: Lpm, sup: Lpm) -> QuotientVerdict:
         raise ValueError("ground-set mismatch")
     m_sub = lpm_bases(sub)
     m_sup = lpm_bases(sup)
-    neck_sub = m_sub.grassmann_necklace()
-    neck_sup = m_sup.grassmann_necklace()
-    for i, (a, b) in enumerate(zip(neck_sub.masks, neck_sup.masks), start=1):
-        if a & ~b:
-            return QuotientVerdict(False, {"type": "necklace-entry", "i": i})
-    coneck_sub = m_sub.grassmann_conecklace()
-    coneck_sup = m_sup.grassmann_conecklace()
-    for i, (a, b) in enumerate(zip(coneck_sub.masks, coneck_sup.masks), start=1):
-        if a & ~b:
-            return QuotientVerdict(False, {"type": "conecklace-entry", "i": i})
+    for kind, entries in (("necklace", Matroid.grassmann_necklace), ("conecklace", Matroid.grassmann_conecklace)):
+        for i, (a, b) in enumerate(zip(entries(m_sub).masks, entries(m_sup).masks), start=1):
+            if a & ~b:
+                return QuotientVerdict(False, {"type": f"{kind}-entry", "i": i})
     return QuotientVerdict(True)

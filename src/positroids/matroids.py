@@ -5,14 +5,13 @@ function, circuits, duality, loops and coloops) from it.  Three routes are
 bitmask kernels: ``bases_from_necklace`` tests k-subsets against rank caps
 on cyclic intervals; ``Matroid.rank_table`` packs the ranks of all subsets
 one byte each and computes every field at once with big-int operations,
-over masks from ``byte_table_masks`` that the quotient check shares; and
-the necklace and conecklace come from ``cyclic.gale_extrema`` over the
-basis masks.  The direct routes they replace, the Gale-order filter, max
-over bases and the sorted-tuple Gale extremum, are kept as oracles in
-``tests/support.py`` and cross-checked against them.
-The rest (circuits, the exchange-axiom check) is still direct search over
-subsets: exact at desk scale, and the substrate the quotient criteria are
-cross-validated against.
+over ``byte_table_masks`` and ``subset_max``, which the quotient check
+shares; and the necklace and conecklace come from ``cyclic.gale_extrema``
+over the basis masks, which alone decide ``is_positroid``.  The direct
+routes they replace (the Gale-order filter, max over bases, the
+sorted-tuple Gale extremum, the exchange axiom ahead of the closure) are
+oracles in ``tests/support.py``.  Circuits and ``is_valid``, kept for
+outside input, are direct search over subsets, exact at desk scale.
 """
 from __future__ import annotations
 
@@ -26,6 +25,7 @@ from .cyclic import (
     bits_of,
     check_ground,
     check_members,
+    distinct_members,
     full_mask,
     gale_extrema,
     mask_of,
@@ -108,13 +108,7 @@ class Matroid:
             packed |= 1 << 8 * b
         for shift, values, g in covers:
             packed |= (packed & (values | g)) >> shift
-        packed = packed * 0xFF & sizes
-        for shift, values, g in covers:
-            a = packed & values
-            b = (packed << shift) & values
-            keep = ((((a | g) - b) & g) >> 7) * 0x7F  # fields with a >= b
-            packed ^= (a ^ b) & (values ^ keep)
-        return packed.to_bytes(1 << self.n, "little")
+        return subset_max(packed * 0xFF & sizes, self.n).to_bytes(1 << self.n, "little")
 
     def rank_of(self, subset: Iterable[int]) -> int:
         """rk(S) = max over bases of |S intersect B|."""
@@ -185,22 +179,22 @@ class Matroid:
         return self._conecklace
 
     def is_positroid(self) -> bool:
-        """Whether the necklace closure reproduces exactly this basis family.
-
-        Non-matroids are never positroids, so the exchange axiom is checked
-        first; this also keeps the Gale minima well defined.
-        """
-        if not self.is_valid():
+        """Whether the Gale minima exist, satisfy the necklace axioms and
+        their positroid is this family: a positroid is determined by its
+        necklace (Postnikov, arXiv:math/0609764; Oh, arXiv:0803.1018), so
+        no exchange-axiom check is needed."""
+        try:
+            necklace = self.grassmann_necklace()
+        except ValueError:
             return False
-        closure = bases_from_necklace(self.grassmann_necklace())
-        return set(closure.bases) == set(self.bases)
+        return necklace.satisfies_axioms() and set(bases_from_necklace(necklace).bases) == set(self.bases)
 
     def to_json(self) -> dict:
         return {"n": self.n, "bases": [sorted(b) for b in self.bases]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Matroid":
-        return cls(obj["n"], [frozenset(b) for b in obj["bases"]])
+        return cls(obj["n"], [distinct_members(b, "basis") for b in obj["bases"]])
 
 
 @lru_cache(maxsize=16)
@@ -225,6 +219,18 @@ def byte_table_masks(n: int) -> tuple[int, int, tuple[tuple[int, int, int], ...]
         held = int.from_bytes((bytes(h) + b"\x80" * h) * blocks, "little")
         covers.append((8 * h, values, held))
     return guards, sizes, tuple(covers)
+
+
+def subset_max(packed: int, n: int) -> int:
+    """Each field S of a packed table (values below 0x80) replaced by the
+    maximum over the subsets of S: for each x, a guarded subtraction picks
+    the larger of fields S and S - x wherever S holds x."""
+    for shift, values, g in byte_table_masks(n)[2]:
+        a = packed & values
+        b = (packed << shift) & values
+        keep = ((((a | g) - b) & g) >> 7) * 0x7F  # fields with a >= b
+        packed ^= (a ^ b) & (values ^ keep)
+    return packed
 
 
 def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:

@@ -2,8 +2,11 @@
 
 Two exact oracles (the rank inequality, checked on covering pairs, and the
 circuit-union definition), the fast CW-arrow criterion for quotients of
-uniform matroids, cyclic-shift recovery for elementary quotient pairs,
-necklace and conecklace containment checks, and the CCW covering condition.
+uniform matroids, cyclic-shift existence and recovery for elementary
+quotient pairs, necklace and conecklace containment checks, and the CCW
+covering condition.  The rank witness comes from one packed pass and a
+shift set from the agreement set of the two permutations; the nested-pair
+scan and the conecklace formula they replace are oracles in tests/support.py.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Iterable, Optional
 from .arrows import _ccw_masks, _cw_masks
 from .cyclic import cyclic_components, full_mask, mask_of, members_of
 from .decorated import DecoratedPermutation
-from .matroids import Matroid, byte_table_masks, positroid_of
+from .matroids import Matroid, byte_table_masks, positroid_of, subset_max
 
 
 @dataclass(frozen=True)
@@ -67,36 +70,39 @@ def is_quotient_rank(m: Matroid, n: Matroid) -> QuotientVerdict:
 
     A function on the subsets of [n] is monotone exactly when it is monotone
     on the covering pairs (S - x, S), so the verdict takes n * 2^(n-1)
-    comparisons instead of the 3^n nested pairs.  The canonical witness is
-    searched for only after that check fails: B runs from the full ground
-    set downward and A over submasks in increasing order, so the first
-    witness is the whole-ground-set violation whenever one exists.
+    comparisons instead of the 3^n nested pairs.  The canonical witness,
+    found after a rejection, is the first violation with B from [n] down
+    and A over the submasks of B upward: with the gaps packed (offset by
+    0x20 per byte), B is the highest field below its ``subset_max`` closure
+    and A the first submask of B with a larger gap.
     """
     _check_same_ground(m, n)
     rm = m.rank_table
     rn = n.rank_table
     if _gap_is_monotone(rm, rn, m.n):
         return QuotientVerdict(True)
-    for b in range(full_mask(m.n), -1, -1):
-        rmb = rm[b]
-        rnb = rn[b]
-        s = b
+    guards = byte_table_masks(m.n)[0]
+    gap = int.from_bytes(rn, "little") + (guards >> 2) - int.from_bytes(rm, "little")
+    above = subset_max(gap, m.n) ^ gap
+    if above:
+        b = (above.bit_length() - 1) >> 3
+        gaps = gap.to_bytes(len(rn), "little")
+        a = 0
         while True:
-            a = b ^ s
-            if rmb - rm[a] > rnb - rn[a]:
+            if gaps[a] > gaps[b]:
                 return QuotientVerdict(
                     False,
                     {
                         "type": "rank",
                         "A": sorted(members_of(a)),
                         "B": sorted(members_of(b)),
-                        "lhs": rmb - rm[a],
-                        "rhs": rnb - rn[a],
+                        "lhs": rm[b] - rm[a],
+                        "rhs": rn[b] - rn[a],
                     },
                 )
-            if s == 0:
+            if a == b:
                 break
-            s = (s - 1) & b
+            a = (a - b) & b  # the next submask of b
     raise RuntimeError("the covering-pair check failed but no nested pair violates")
 
 
@@ -160,14 +166,6 @@ def is_quotient_of_uniform(dp: DecoratedPermutation, k: int) -> QuotientVerdict:
     return QuotientVerdict(True)
 
 
-def _agreement_set(pi: DecoratedPermutation, sigma: DecoratedPermutation) -> frozenset[int]:
-    return frozenset(
-        i
-        for i in range(1, pi.n + 1)
-        if sigma.perm[i - 1] == pi.perm[i - 1] and sigma.col[i - 1] == pi.col[i - 1]
-    )
-
-
 def exists_shift(pi: DecoratedPermutation, sigma: DecoratedPermutation) -> Optional[frozenset[int]]:
     """A set A with cyclic_shift(pi, A) == sigma, if one exists.
 
@@ -181,10 +179,9 @@ def exists_shift(pi: DecoratedPermutation, sigma: DecoratedPermutation) -> Optio
         raise ValueError("ground-set mismatch")
     if sigma.rank != pi.rank - 1:
         raise ValueError(f"rank(sigma)={sigma.rank} must be rank(pi)-1={pi.rank - 1}")
-    candidate = _agreement_set(pi, sigma)
-    if pi.cyclic_shift(candidate) == sigma:
-        return candidate
-    return None
+    agree = zip(pi.perm, pi.col, sigma.perm, sigma.col)
+    candidate = frozenset(i for i, (v, c, w, d) in enumerate(agree, start=1) if v == w and c == d)
+    return candidate if pi.cyclic_shift(candidate) == sigma else None
 
 
 def recover_shift_set(
@@ -192,36 +189,26 @@ def recover_shift_set(
     sigma: DecoratedPermutation,
     verify_quotient: bool = False,
 ) -> frozenset[int]:
-    """The shift set of an elementary quotient pair, from the conecklaces:
-    A = [n] minus the union of the entrywise conecklace differences.
+    """The shift set of an elementary quotient pair, by ``exists_shift``.
 
-    The caller vouches that the positroid of sigma is an elementary quotient
-    of the positroid of pi; pass ``verify_quotient=True`` to have the
-    brute-force rank oracle confirm it first.  The recovered set is always
-    replayed through ``cyclic_shift`` and a mismatch raises.
+    Pass ``verify_quotient=True`` to have the rank oracle confirm first that
+    the positroid of sigma is an elementary quotient of the positroid of pi.
+    Without it, any pair related by a cyclic shift gets its shift set,
+    quotient or not.  Raises ValueError when no cyclic shift of pi gives sigma.
     """
-    if pi.n != sigma.n:
-        raise ValueError("ground-set mismatch")
-    if sigma.rank != pi.rank - 1:
-        raise ValueError(f"rank(sigma)={sigma.rank} must be rank(pi)-1={pi.rank - 1}")
+    found = exists_shift(pi, sigma)
     if verify_quotient:
         verdict = is_quotient_rank(positroid_of(sigma), positroid_of(pi))
         if not verdict:
             raise ValueError(f"not an elementary quotient pair: {verdict.witness}")
-    n = pi.n
-    moved = 0
-    for jp, js in zip(pi.conecklace.masks, sigma.conecklace.masks):
-        moved |= jp & ~js
-    recovered = members_of(full_mask(n) & ~moved)
-    if pi.cyclic_shift(recovered) != sigma:
+    if found is None:
         raise ValueError("recovered shift set does not replay; not an elementary quotient pair")
-    return recovered
+    return found
 
 
 def containment_check(sigma: DecoratedPermutation, pi: DecoratedPermutation) -> tuple[bool, bool]:
-    """(necklace containment, conecklace containment), entry by entry."""
-    if pi.n != sigma.n:
-        raise ValueError("ground-set mismatch")
+    """(necklace containment, conecklace containment), entry by entry; the
+    first containment test refuses a ground-set mismatch."""
     return (
         pi.necklace.contains_entrywise(sigma.necklace),
         pi.conecklace.contains_entrywise(sigma.conecklace),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from positroids import (
     DecoratedPermutation,
     all_decorated_permutations,
+    bases_from_necklace,
     containment_check,
     exists_shift,
     is_quotient_rank,
@@ -107,6 +108,25 @@ def nested_pairs_quotient(m: Matroid, n: Matroid):
                 break
             s = (s - 1) & b
     return None
+
+
+def exchange_closure_positroid(m: Matroid) -> bool:
+    """``Matroid.is_positroid`` with the exchange axiom checked first: a
+    matroid whose necklace closure reproduces its basis family exactly."""
+    if not m.is_valid():
+        return False
+    return set(bases_from_necklace(m.grassmann_necklace()).bases) == set(m.bases)
+
+
+def conecklace_shift_set(pi: DecoratedPermutation, sigma: DecoratedPermutation) -> frozenset[int]:
+    """``recover_shift_set`` from the conecklaces: [n] minus the union of the
+    entrywise differences J^pi_i - J^sigma_i.  Exact on elementary quotient
+    pairs; not replayed, so on other pairs it may name a set that does not
+    shift pi to sigma."""
+    moved = 0
+    for jp, js in zip(pi.conecklace.masks, sigma.conecklace.masks):
+        moved |= jp & ~js
+    return mask_members(full_mask(pi.n) & ~moved)
 
 
 def gale_filter_bases(necklace: GrassmannNecklace) -> Matroid:
@@ -450,6 +470,24 @@ def rank_gap_pairs(draw, min_n=1, max_n=8):
             if sigma.rank == pi.rank - 1:
                 return sigma, pi
     return draw(st.sampled_from(rank_dropping_shifts(pi))), pi
+
+
+@st.composite
+def equicardinal_families(draw, max_n=9):
+    """A Matroid object over an equal-size family that need not satisfy the
+    exchange axiom: half of the draws pick up to twelve arbitrary k-subsets,
+    the others take a positroid and toggle one k-subset in or out of it."""
+    n = draw(st.integers(1, max_n))
+    k_subset = lambda k: st.frozensets(st.integers(1, n), min_size=k, max_size=k)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        family = draw(st.sets(k_subset(k), min_size=1, max_size=12))
+    else:
+        dp = draw(decorated_permutations(n, n))
+        family = set(positroid_of(dp).bases) ^ {draw(k_subset(dp.rank))}
+        if not family:
+            family = set(positroid_of(dp).bases)
+    return Matroid(n, family)
 
 
 @st.composite

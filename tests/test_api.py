@@ -24,6 +24,7 @@ def test_removed_aliases_are_gone():
         assert name not in positroids.__all__
         assert not hasattr(positroids, name)
     assert not hasattr(positroids.DecoratedPermutation, "to_necklace")
+    assert not hasattr(positroids.CyclicInterval, "is_subset_of")
 
 
 def test_no_assert_in_library_source():

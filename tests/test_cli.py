@@ -73,6 +73,27 @@ class TestConvert:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "source, payload, message",
+        [
+            ("matroid", '{"n":3,"bases":[[1,1]]}', "basis [1, 1] repeats an element"),
+            ("lpm", '{"n":3,"U":[1,1],"L":[2,3]}', "U [1, 1] repeats an element"),
+            ("necklace", '{"k":2,"entries":[[1,2],[2,3],[3,3]]}', "entry [3, 3] repeats an element"),
+        ],
+    )
+    def test_repeated_element_is_named(self, capsys, source, payload, message):
+        code, out, err = run(capsys, "convert", "--from", source, "--to", "dp", "--input", payload)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_repeated_basis_is_deduplicated(self, capsys):
+        code, out, _ = run(
+            capsys, "convert", "--from", "matroid", "--to", "dp", "--input", '{"n":3,"bases":[[1,2],[2,1]]}'
+        )
+        assert code == 0
+        assert out.strip() == "1c 2c 3o"
+
     def test_json_flag_for_dp_output(self, capsys):
         code, out, _ = run(
             capsys, "convert", "--from", "dp", "--to", "dp", "--input", "2 1", "--json"
@@ -273,6 +294,14 @@ class TestEnumerate:
         assert out == ""
         assert err == "error: flag pair enumeration supports 1 <= n <= 7, got n=9\n"
         assert "proceeding" not in err
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "0", ""])
+    def test_malformed_env_bound_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("POSITROID_MAX_N", value)
+        code, out, err = run(capsys, "enumerate", "--what", "dps", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: POSITROID_MAX_N must be a positive integer, got {value!r}\n"
 
 
 class TestVerifyPaper:

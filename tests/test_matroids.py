@@ -294,6 +294,16 @@ class TestIsPositroid:
             }
             assert from_dps == recognized
 
+    def test_matches_exchange_closure_on_every_matroid(self, matroid_census):
+        for n in range(1, 6):
+            for m in matroid_census(n):
+                assert m.is_positroid() == support.exchange_closure_positroid(m), m.bases
+
+    @settings(max_examples=300, deadline=None)
+    @given(support.equicardinal_families(max_n=9))
+    def test_matches_exchange_closure_on_arbitrary_families(self, m):
+        assert m.is_positroid() == support.exchange_closure_positroid(m)
+
 
 class TestSubmodularity:
     def test_exhaustive_small(self, matroid_census):

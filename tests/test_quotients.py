@@ -9,6 +9,7 @@ from positroids import (
     Matroid,
     containment_check,
     cw_function,
+    elementary_flag_pairs,
     exists_shift,
     is_quotient_circuits,
     is_quotient_of_uniform,
@@ -205,6 +206,28 @@ class TestRecoverShiftSet:
         with pytest.raises(ValueError):
             recover_shift_set(pi, pi)
 
+    def test_unverified_shift_pair_gets_its_shift_set(self):
+        # related by the empty shift but not a quotient pair; the conecklace
+        # formula names a set that does not replay
+        pi = DecoratedPermutation.from_text("1c 3 2")
+        sigma = DecoratedPermutation.from_text("2 1 3o")
+        assert recover_shift_set(pi, sigma) == frozenset()
+        assert pi.cyclic_shift(support.conecklace_shift_set(pi, sigma)) != sigma
+        with pytest.raises(ValueError, match="^not an elementary quotient pair"):
+            recover_shift_set(pi, sigma, verify_quotient=True)
+
+    def test_no_shift_is_refused(self):
+        sigma = DecoratedPermutation.from_text("1o 2o 4 3")
+        pi = uniform_dp(2, 4)
+        with pytest.raises(ValueError, match="does not replay"):
+            recover_shift_set(pi, sigma)
+
+    def test_matches_conecklace_formula_on_flag_pairs(self):
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                for sigma, pi, _ in elementary_flag_pairs(k, n):
+                    assert recover_shift_set(pi, sigma) == support.conecklace_shift_set(pi, sigma)
+
     def test_replays_on_all_flag_pairs(self, gap_sweep):
         for n in range(1, 6):
             sweep = gap_sweep(n)
@@ -321,3 +344,31 @@ def test_rank_kernel_matches_nested_pairs_beyond_sweep(pair):
     assert verdict.is_quotient == (expected is None)
     if expected is not None:
         assert (verdict.witness["A"], verdict.witness["B"]) == expected
+
+
+# a rank-gap pair on [n] for n = 7..12, and a flag choosing whether its
+# pi or an arbitrary decorated permutation on [n] is the ambient one
+GAP_OR_ANY_PAIRS = st.integers(7, 12).flatmap(
+    lambda n: st.tuples(st.booleans(), support.rank_gap_pairs(n, n), support.decorated_permutations(n, n))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GAP_OR_ANY_PAIRS)
+def test_rank_witness_matches_nested_pairs_up_to_12(draw):
+    gap_pair, (sigma, pi), other = draw
+    m, n = positroid_of(sigma), positroid_of(pi if gap_pair else other)
+    verdict = is_quotient_rank(m, n)
+    expected = support.nested_pairs_quotient(m, n)
+    if expected is None:
+        assert verdict.is_quotient and verdict.witness is None
+    else:
+        a, b = expected
+        assert not verdict
+        assert verdict.witness == {
+            "type": "rank",
+            "A": a,
+            "B": b,
+            "lhs": m.rank_of(b) - m.rank_of(a),
+            "rhs": n.rank_of(b) - n.rank_of(a),
+        }
