@@ -17,8 +17,7 @@ import sys
 import time
 from collections import Counter
 
-from positroids import all_decorated_permutations, elementary_flag_pairs
-from positroids.enumeration import check_census
+from positroids import all_decorated_permutations, census_records
 
 
 def main() -> int:
@@ -34,21 +33,19 @@ def main() -> int:
 
 
 def survey(n: int) -> None:
-    check_census("flag-pairs", None, n)
+    records = census_records("flag-pairs", None, n)  # refuses before any output
     ranks = Counter(dp.rank for dp in all_decorated_permutations(n))
     print(f"decorated permutations on [{n}]: {sum(ranks.values())}")
     for k in range(n + 1):
         print(f"  rank {k}: {ranks[k]}")
 
     start = time.perf_counter()
-    for k in range(1, n + 1):
-        sizes = Counter()
-        pairs = 0
-        for _sigma, _pi, shift_set in elementary_flag_pairs(k, n):
-            sizes[len(shift_set)] += 1
-            pairs += 1
-        dist = ", ".join(f"|A|={s}: {c}" for s, c in sorted(sizes.items()))
-        print(f"elementary flag pairs with rank(pi)={k}: {pairs}  ({dist})")
+    sizes = {k: Counter() for k in range(1, n + 1)}
+    for record in records:
+        sizes[record["k"]][len(record["shift_set"])] += 1
+    for k, counts in sizes.items():
+        dist = ", ".join(f"|A|={s}: {c}" for s, c in sorted(counts.items()))
+        print(f"elementary flag pairs with rank(pi)={k}: {counts.total()}  ({dist})")
     print(f"done in {time.perf_counter() - start:.2f}s", file=sys.stderr)
 
 

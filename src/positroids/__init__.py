@@ -26,7 +26,6 @@ from .cyclic import (
 )
 from .decorated import DecoratedPermutation, GrassmannNecklace, shift_interval, uniform_dp
 from .enumeration import (
-    CensusRecord,
     all_decorated_permutations,
     all_lpms,
     all_positroids,
@@ -50,7 +49,6 @@ from .reference import ReferenceReport, run_reference_examples
 
 __all__ = [
     "ArrowSet",
-    "CensusRecord",
     "CyclicInterval",
     "DecoratedPermutation",
     "GrassmannNecklace",

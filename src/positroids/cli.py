@@ -4,6 +4,13 @@ checks, cyclic shifts, enumeration, and the bundled known-answer suite.
 Exit codes: 0 for success or a true verdict, 1 for a false verdict (or any
 failing known-answer check), 2 for malformed input or usage errors.  Every
 payload option accepts inline text or JSON, a file path, or ``-`` for stdin.
+
+``convert`` pivots on the decorated permutation: each source becomes one
+(``_to_dp``), and each target is derived from it, except that a matroid or
+LPM converted to a matroid is printed as parsed, positroid or not.
+``enumerate`` takes its kinds and default bounds from
+``enumeration.CENSUS_KINDS``, which ``census_records`` checks before the
+``--out`` file is opened.
 """
 from __future__ import annotations
 
@@ -14,9 +21,9 @@ import sys
 
 from .arrows import ccw_arrows, cw_arrows
 from .decorated import DecoratedPermutation, GrassmannNecklace
-from .enumeration import DEFAULT_MAX_N, FLAG_PAIR_MAX_N, census_records, check_census
+from .enumeration import CENSUS_KINDS, census_records
 from .lpm import Lpm, lpm_bases, lpm_quotient_greedy
-from .matroids import Matroid, bases_from_necklace, positroid_of
+from .matroids import Matroid, positroid_of
 from .quotients import (
     QuotientVerdict,
     is_quotient_of_uniform,
@@ -44,8 +51,12 @@ def _payload(value: str) -> str:
 
 
 def _from_json(cls, payload: str):
-    """cls.from_json of a JSON object, naming the field when one is missing."""
-    obj = json.loads(payload)
+    """cls.from_json of a JSON object, naming the payload when it is not JSON
+    and the field when one is missing."""
+    try:
+        obj = json.loads(payload)
+    except json.JSONDecodeError:
+        raise ValueError(f"payload {payload!r} is neither JSON nor an existing file") from None
     if not isinstance(obj, dict):
         raise ValueError("payload must be a JSON object")
     try:
@@ -68,19 +79,22 @@ def _parse_freeze(text: str) -> frozenset[int]:
     return frozenset(int(tok) for tok in text.split(","))
 
 
-def _to_matroid(kind: str, payload: str) -> Matroid:
-    if kind == "dp":
-        return positroid_of(_parse_dp(payload))
-    if kind == "necklace":
-        return bases_from_necklace(_from_json(GrassmannNecklace, payload))
+def _family(kind: str, payload: str) -> Matroid:
+    """The basis family of a matroid or LPM payload, positroid or not."""
     if kind == "matroid":
         return _from_json(Matroid, payload)
-    if kind == "lpm":
-        return lpm_bases(_from_json(Lpm, payload))
-    raise ValueError(f"unknown representation kind {kind!r}")
+    return lpm_bases(_from_json(Lpm, payload))
 
 
-def _positroid_dp(m: Matroid) -> DecoratedPermutation:
+def _to_dp(kind: str, payload: str) -> DecoratedPermutation:
+    """The decorated permutation of a payload of any kind: the pivot of
+    ``convert``.  A necklace must satisfy the axioms, and a matroid or LPM
+    must be a positroid."""
+    if kind == "dp":
+        return _parse_dp(payload)
+    if kind == "necklace":
+        return DecoratedPermutation.from_necklace(_from_json(GrassmannNecklace, payload))
+    m = _family(kind, payload)
     if not m.is_positroid():
         raise ValueError("matroid is not a positroid; no necklace form exists")
     return DecoratedPermutation.from_necklace(m.grassmann_necklace())
@@ -98,41 +112,22 @@ def _emit_verdict(verdict: QuotientVerdict, as_json: bool, label: str) -> int:
 
 def _cmd_convert(args) -> int:
     payload = _payload(args.input)
-    target = args.to
-    if target == "dp":
-        if args.source == "dp":
-            dp = _parse_dp(payload)
-        else:
-            dp = _positroid_dp(_to_matroid(args.source, payload))
+    if args.to == "matroid" and args.source in ("matroid", "lpm"):
+        print(json.dumps(_family(args.source, payload).to_json()))
+        return 0
+    dp = _to_dp(args.source, payload)
+    if args.to == "dp":
         print(json.dumps(dp.to_json()) if args.json else dp.to_text())
-        return 0
-    if target == "necklace":
-        if args.source == "dp":
-            neck = _parse_dp(payload).necklace
-        else:
-            m = _to_matroid(args.source, payload)
-            if args.source == "matroid" and not m.is_positroid():
-                raise ValueError("matroid is not a positroid; no necklace form exists")
-            neck = m.grassmann_necklace()
-        print(json.dumps(neck.to_json()))
-        return 0
-    if target == "matroid":
-        print(json.dumps(_to_matroid(args.source, payload).to_json()))
-        return 0
-    if target == "lpm":
-        m = _to_matroid(args.source, payload)
-        if not m.is_positroid():
-            raise ValueError("matroid is not a positroid, hence not a lattice path matroid")
-        candidate = Lpm(
-            m.n,
-            m.grassmann_necklace().entries[0],
-            m.grassmann_conecklace().entries[0],
-        )
-        if set(lpm_bases(candidate).bases) != set(m.bases):
+    elif args.to == "necklace":
+        print(json.dumps(dp.necklace.to_json()))
+    elif args.to == "matroid":
+        print(json.dumps(positroid_of(dp).to_json()))
+    else:
+        candidate = Lpm(dp.n, dp.necklace.entries[0], dp.conecklace.entries[0])
+        if lpm_bases(candidate).bases != positroid_of(dp).bases:
             raise ValueError("positroid is not a lattice path matroid")
         print(json.dumps(candidate.to_json()))
-        return 0
-    raise ValueError(f"unknown target kind {target!r}")
+    return 0
 
 
 def _cmd_check_quotient(args) -> int:
@@ -181,12 +176,12 @@ def _cmd_arrows(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    default = FLAG_PAIR_MAX_N if args.what == "flag-pairs" else DEFAULT_MAX_N
+    default = CENSUS_KINDS[args.what][0]
     env = os.environ.get("POSITROID_MAX_N")
     if env is not None and not (env.strip().isdecimal() and int(env) > 0):
         raise ValueError(f"POSITROID_MAX_N must be a positive integer, got {env!r}")
     bound = default if env is None else int(env)
-    check_census(args.what, args.k, args.n, max_n=bound)
+    records = census_records(args.what, args.k, args.n, max_n=bound)
     if args.n > default:
         print(
             f"warning: n={args.n} exceeds the supported bound {default}; "
@@ -195,8 +190,8 @@ def _cmd_enumerate(args) -> int:
         )
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
     try:
-        for record in census_records(args.what, args.k, args.n, max_n=bound):
-            out.write(json.dumps(record.to_json()) + "\n")
+        for record in records:
+            out.write(json.dumps(record) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -280,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_arrows)
 
     p = sub.add_parser("enumerate", parents=[common], help="write a census as JSON lines")
-    p.add_argument("--what", choices=("dps", "positroids", "lpms", "flag-pairs"), required=True)
+    p.add_argument("--what", choices=tuple(CENSUS_KINDS), required=True)
     p.add_argument("--k", type=int, default=None, help="rank; every rank when omitted")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None, help="output path, or - for stdout")

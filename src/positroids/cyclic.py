@@ -57,7 +57,10 @@ def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
 
 
 def distinct_members(items: list, what: str) -> frozenset:
-    """The members of a JSON list as a set; refuses a repeated element."""
+    """The members of a JSON list as a set; refuses a non-list and a
+    repeated element."""
+    if not isinstance(items, list):
+        raise ValueError(f"{what} {items!r} is not a list")
     members = frozenset(items)
     if len(members) != len(items):
         raise ValueError(f"{what} {items} repeats an element")

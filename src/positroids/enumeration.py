@@ -4,18 +4,20 @@ lattice path matroids, and elementary flag positroid pairs.
 Every generator is deterministic (canonical lexicographic order) and lazy.
 The default bounds keep full enumeration instant to a few minutes; callers
 may raise them explicitly, which the CLI does only with a loud warning.
+``census_records`` turns any of them into plain JSON dicts for the CLI's
+``enumerate``; ``CENSUS_KINDS`` is the one table of its kinds, their
+default bounds and their lowest ranks.
 """
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .cyclic import members_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .lpm import Lpm, lpm_bases
-from .matroids import Matroid, positroid_of
+from .matroids import Matroid, bases_from_necklace, positroid_of
 from .quotients import _gap_is_monotone
 
 DEFAULT_MAX_N = 8
@@ -167,52 +169,38 @@ def elementary_flag_pairs(
                 yield sigma, pi, members_of(hits[p])
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    """One census line: identifying data plus optional relation edges."""
-
-    n: int
-    k: int
-    payload: dict = field(compare=False)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, **self.payload}
-
-
-# the generator whose bound check a census of each kind runs into first
-_CENSUS_BOUNDS = {
-    "dps": (DEFAULT_MAX_N, "decorated permutation"),
-    "positroids": (DEFAULT_MAX_N, "decorated permutation"),
-    "lpms": (DEFAULT_MAX_N, "lattice path matroid"),
-    "flag-pairs": (FLAG_PAIR_MAX_N, "flag pair"),
+# census kind -> (default bound on n, lowest rank, the noun its bound refusal names)
+CENSUS_KINDS = {
+    "dps": (DEFAULT_MAX_N, 0, "decorated permutation"),
+    "positroids": (DEFAULT_MAX_N, 0, "decorated permutation"),
+    "lpms": (DEFAULT_MAX_N, 0, "lattice path matroid"),
+    "flag-pairs": (FLAG_PAIR_MAX_N, 1, "flag pair"),
 }
 
 
-def check_census(what: str, k: Optional[int], n: int, max_n: Optional[int] = None) -> None:
-    """Raise the ValueError that ``census_records(what, k, n, max_n)`` would
-    raise, before any record is made: an unknown kind, a given k outside
-    0..n (1..n for flag pairs), or an n above the kind's bound."""
-    if what not in _CENSUS_BOUNDS:
+def census_records(what: str, k: Optional[int], n: int, max_n: Optional[int] = None) -> Iterator[dict]:
+    """JSON-lines-ready records, ``{"n", "k", ...}``, one per enumerated object.
+
+    ``k=None`` means every rank, rank-major, from the kind's lowest rank in
+    ``CENSUS_KINDS`` (0, or 1 for flag pairs) to n.  Decorated permutations
+    always come in one lexicographic pass, restricted to rank k when k is
+    given.  The arguments are checked here, before any record is made: an
+    unknown kind, a given k outside lowest..n, or an n above the kind's
+    bound (``max_n``, else its default) raises ValueError.
+    """
+    if what not in CENSUS_KINDS:
         raise ValueError(f"unknown census kind {what!r}")
-    lowest = 1 if what == "flag-pairs" else 0
+    default, lowest, noun = CENSUS_KINDS[what]
     if k is not None and not lowest <= k <= n:
         raise ValueError(f"rank {k} out of range {lowest}..{n}")
-    _check_bound(n, max_n, *_CENSUS_BOUNDS[what])
+    _check_bound(n, max_n, default, noun)
+    return _records(what, k, n, max_n)
 
 
-def census_records(what: str, k: Optional[int], n: int, max_n: Optional[int] = None) -> Iterator[CensusRecord]:
-    """JSON-lines-ready records for the CLI; one record per enumerated object.
-
-    ``k=None`` means every rank, rank-major: 0..n for positroids and LPMs,
-    1..n for flag pairs.  Decorated permutations always come in one
-    lexicographic pass, restricted to rank k when k is given.  Arguments
-    that ``check_census`` refuses raise its ValueError.
-    """
-    check_census(what, k, n, max_n)
-    lowest = 1 if what == "flag-pairs" else 0
+def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Iterator[dict]:
     if what == "dps":
         for dp in all_decorated_permutations(n, max_n, rank=k):
-            yield CensusRecord(n, dp.rank, {"dp": dp.to_text()})
+            yield {"n": n, "k": dp.rank, "dp": dp.to_text()}
         return
     if what == "positroids":
         dps = all_decorated_permutations(n, max_n, rank=k)
@@ -221,27 +209,20 @@ def census_records(what: str, k: Optional[int], n: int, max_n: Optional[int] = N
             # keeps the lexicographic order
             dps = sorted(dps, key=lambda dp: dp.rank)
         for dp in dps:
-            m = positroid_of(dp)
-            yield CensusRecord(
-                n,
-                dp.rank,
-                {
-                    "dp": dp.to_text(),
-                    "necklace": dp.necklace.to_json()["entries"],
-                    "basis_count": len(m.bases),
-                },
-            )
+            # no census entry is looked up again, so positroid_of's cache is bypassed
+            yield {
+                "n": n,
+                "k": dp.rank,
+                "dp": dp.to_text(),
+                "necklace": dp.necklace.to_json()["entries"],
+                "basis_count": len(bases_from_necklace(dp.necklace).bases),
+            }
         return
-    for rank in [k] if k is not None else range(lowest, n + 1):
+    for rank in [k] if k is not None else range(CENSUS_KINDS[what][1], n + 1):
         if what == "lpms":
             for p in all_lpms(rank, n, max_n):
-                yield CensusRecord(
-                    n, rank, {"U": sorted(p.U), "L": sorted(p.L), "basis_count": len(lpm_bases(p).bases)}
-                )
+                count = len(lpm_bases(p).bases)
+                yield {"n": n, "k": rank, "U": sorted(p.U), "L": sorted(p.L), "basis_count": count}
         else:
             for sigma, pi, shift_set in elementary_flag_pairs(rank, n, max_n):
-                yield CensusRecord(
-                    n,
-                    rank,
-                    {"pi": pi.to_text(), "sigma": sigma.to_text(), "shift_set": sorted(shift_set)},
-                )
+                yield {"n": n, "k": rank, "pi": pi.to_text(), "sigma": sigma.to_text(), "shift_set": sorted(shift_set)}

@@ -115,10 +115,6 @@ class Matroid:
         s = mask_of(subset, self.n)
         return max((s & b).bit_count() for b in self.basis_masks)
 
-    def independent(self, subset: Iterable[int]) -> bool:
-        s = mask_of(subset, self.n)
-        return any(s & ~b == 0 for b in self.basis_masks)
-
     def dual(self) -> "Matroid":
         full = full_mask(self.n)
         return Matroid(self.n, (members_of(full & ~b) for b in self.basis_masks))
@@ -244,8 +240,10 @@ def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
     nonempty proper cyclic intervals, one per start and length, so no cap
     repeats; every k-subset is tested against all of them.
 
-    Raises ValueError when the filter comes back empty, which signals input
-    that does not satisfy the necklace axioms.
+    Assumes the necklace axioms.  Input that breaks them may leave no
+    subset (ValueError) or yield the positroid of another necklace:
+    [[1], [3], [1]] gives the one basis {1}.  Outside input is checked by
+    ``DecoratedPermutation.from_necklace``, which names the violation.
     """
     n, k = necklace.n, necklace.k
     caps = []

@@ -106,6 +106,19 @@ def is_quotient_rank(m: Matroid, n: Matroid) -> QuotientVerdict:
     raise RuntimeError("the covering-pair check failed but no nested pair violates")
 
 
+def _first_uncovered(wholes: Iterable[int], pieces: tuple[int, ...]) -> Optional[tuple[int, int]]:
+    """The first whole mask that is not the union of the piece masks inside
+    it, together with that union; None when every whole is such a union."""
+    for whole in wholes:
+        union = 0
+        for piece in pieces:
+            if piece & ~whole == 0:
+                union |= piece
+        if union != whole:
+            return whole, union
+    return None
+
+
 def is_quotient_circuits(m: Matroid, n: Matroid) -> QuotientVerdict:
     """Whether every circuit of n is a union of circuits of m.
 
@@ -113,22 +126,14 @@ def is_quotient_circuits(m: Matroid, n: Matroid) -> QuotientVerdict:
     must reproduce it exactly.
     """
     _check_same_ground(m, n)
-    m_circuits = m.circuit_masks
-    for c_set, c in zip(n.circuits, n.circuit_masks):
-        covered = 0
-        for mc in m_circuits:
-            if mc & ~c == 0:
-                covered |= mc
-        if covered != c:
-            return QuotientVerdict(
-                False,
-                {
-                    "type": "circuit",
-                    "circuit": sorted(c_set),
-                    "union": sorted(members_of(covered)),
-                },
-            )
-    return QuotientVerdict(True)
+    uncovered = _first_uncovered(n.circuit_masks, m.circuit_masks)
+    if uncovered is None:
+        return QuotientVerdict(True)
+    circuit, union = uncovered
+    return QuotientVerdict(
+        False,
+        {"type": "circuit", "circuit": sorted(members_of(circuit)), "union": sorted(members_of(union))},
+    )
 
 
 def is_quotient_of_uniform(dp: DecoratedPermutation, k: int) -> QuotientVerdict:
@@ -247,12 +252,4 @@ def oh_xiang_condition(m_dp: DecoratedPermutation, n_dp: DecoratedPermutation) -
     for dp, label in ((m_dp, "m"), (n_dp, "n")):
         if dp.loops or dp.coloops:
             raise ValueError(f"{label} must be loop-free and coloop-free")
-    n_masks = _ccw_masks(n_dp)
-    for arrow in _ccw_masks(m_dp):
-        covered = 0
-        for other in n_masks:
-            if other & ~arrow == 0:
-                covered |= other
-        if covered != arrow:
-            return False
-    return True
+    return _first_uncovered(_ccw_masks(m_dp), _ccw_masks(n_dp)) is None

@@ -5,6 +5,7 @@ import positroids
 from positroids import arrows
 
 REMOVED = (
+    "CensusRecord",
     "GrassmannMatrix",
     "interval_members",
     "validate",
@@ -25,6 +26,8 @@ def test_removed_aliases_are_gone():
         assert not hasattr(positroids, name)
     assert not hasattr(positroids.DecoratedPermutation, "to_necklace")
     assert not hasattr(positroids.CyclicInterval, "is_subset_of")
+    assert not hasattr(positroids.Matroid, "independent")
+    assert not hasattr(positroids.enumeration, "check_census")
 
 
 def test_no_assert_in_library_source():

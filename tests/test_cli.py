@@ -65,6 +65,12 @@ class TestConvert:
             ("lpm", "[1, 2]", "payload must be a JSON object"),
             ("dp", "[1, 2]", "payload must be a JSON object"),
             ("necklace", "5", "payload must be a JSON object"),
+            ("matroid", '{"n":3,"bases":[5]}', "basis 5 is not a list"),
+            ("lpm", '{"n":3,"U":5,"L":[2]}', "U 5 is not a list"),
+            ("lpm", '{"n":3,"U":[1],"L":"2"}', "L '2' is not a list"),
+            ("necklace", '{"k":1,"entries":[1,2,3]}', "entry 1 is not a list"),
+            ("matroid", "no-such-m.json", "payload 'no-such-m.json' is neither JSON nor an existing file"),
+            ("lpm", '{"n":3,', "payload '{\"n\":3,' is neither JSON nor an existing file"),
         ],
     )
     def test_malformed_payload_is_named(self, capsys, source, payload, message):
@@ -93,6 +99,29 @@ class TestConvert:
         )
         assert code == 0
         assert out.strip() == "1c 2c 3o"
+
+    def test_invalid_necklace_is_refused(self, capsys):
+        # its bases_from_necklace family is the positroid of 1c 2o 3o, whose
+        # necklace is [[1], [1], [1]]; the axioms refuse it instead
+        code, out, err = run(
+            capsys, "convert", "--from", "necklace", "--to", "dp", "--input", '{"k":1,"entries":[[1],[3],[1]]}'
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: not a Grassmann necklace: 2 is not in entry 2 but entry 3 differs\n"
+
+    @pytest.mark.parametrize(
+        "source, payload, message",
+        [
+            ("matroid", '{"n":4,"bases":[[1,3],[2,4]]}', "matroid is not a positroid; no necklace form exists"),
+            ("dp", "3 2o 1", "positroid is not a lattice path matroid"),  # bases {1} and {3}
+        ],
+    )
+    def test_refused_to_lpm(self, capsys, source, payload, message):
+        code, out, err = run(capsys, "convert", "--from", source, "--to", "lpm", "--input", payload)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_json_flag_for_dp_output(self, capsys):
         code, out, _ = run(

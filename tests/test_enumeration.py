@@ -157,13 +157,12 @@ class TestLpmCensus:
 class TestCensusRecords:
     def test_positroid_records(self):
         records = list(census_records("positroids", 2, 4))
-        assert all(r.n == 4 and r.k == 2 for r in records)
-        payload = records[0].to_json()
+        assert all(r["n"] == 4 and r["k"] == 2 for r in records)
+        payload = records[0]
         assert {"n", "k", "dp", "necklace", "basis_count"} <= set(payload)
 
     def test_flag_pair_records_replay(self):
-        for record in census_records("flag-pairs", 1, 3):
-            obj = record.to_json()
+        for obj in census_records("flag-pairs", 1, 3):
             pi = DecoratedPermutation.from_text(obj["pi"])
             sigma = DecoratedPermutation.from_text(obj["sigma"])
             assert pi.cyclic_shift(obj["shift_set"]) == sigma
@@ -175,8 +174,8 @@ class TestCensusRecords:
     def test_missing_k(self):
         # rank-major: ranks 0..n, or 1..n for flag pairs
         for what, first in (("positroids", 0), ("lpms", 0), ("flag-pairs", 1)):
-            per_rank = [r.to_json() for k in range(first, 4) for r in census_records(what, k, 3)]
-            assert [r.to_json() for r in census_records(what, None, 3)] == per_rank
+            per_rank = [r for k in range(first, 4) for r in census_records(what, k, 3)]
+            assert list(census_records(what, None, 3)) == per_rank
         with pytest.raises(ValueError):
             next(census_records("positroids", None, 9))
 
@@ -187,3 +186,21 @@ class TestCensusRecords:
                     next(census_records(what, k, 3))
         with pytest.raises(ValueError, match="rank 0 out of range 1..3"):
             next(census_records("flag-pairs", 0, 3))
+
+    def test_refused_when_called(self):
+        # the checks run at the call, before the first record is asked for
+        for what, (bound, lowest, noun) in enumeration.CENSUS_KINDS.items():
+            with pytest.raises(ValueError, match=f"^{noun} enumeration supports 1 <= n <= {bound}, got n={bound + 1}$"):
+                census_records(what, None, bound + 1)
+            with pytest.raises(ValueError, match=f"^rank {lowest - 1} out of range {lowest}..3$"):
+                census_records(what, lowest - 1, 3)
+        with pytest.raises(ValueError, match="unknown census kind 'widgets'"):
+            census_records("widgets", 1, 3)
+
+    def test_positroid_census_leaves_the_cache_alone(self):
+        # no census entry is looked up again, so none is cached
+        positroid_of.cache_clear()
+        records = list(census_records("positroids", None, 5))
+        assert positroid_of.cache_info().currsize == 0
+        dps = [DecoratedPermutation.from_text(r["dp"]) for r in records]
+        assert [r["basis_count"] for r in records] == [len(positroid_of(dp).bases) for dp in dps]
