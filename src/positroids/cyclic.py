@@ -56,6 +56,14 @@ def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
         check_element(x, n)
 
 
+def json_list(obj: dict, field: str) -> list:
+    """obj[field], refused unless it is a JSON list."""
+    value = obj[field]
+    if not isinstance(value, list):
+        raise ValueError(f"{field} {value!r} is not a list")
+    return value
+
+
 def distinct_members(items: list, what: str) -> frozenset:
     """The members of a JSON list as a set; refuses a non-list and a
     repeated element."""

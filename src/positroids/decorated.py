@@ -23,6 +23,7 @@ from .cyclic import (
     cyclic_pos,
     distinct_members,
     full_mask,
+    json_list,
     mask_of,
 )
 
@@ -100,8 +101,11 @@ class GrassmannNecklace:
 
     @classmethod
     def from_json(cls, obj: dict, orientation: str = "necklace") -> "GrassmannNecklace":
-        entries = [distinct_members(e, "entry") for e in obj["entries"]]
-        return cls(len(entries), obj["k"], tuple(entries), orientation)
+        entries = [distinct_members(e, "entry") for e in json_list(obj, "entries")]
+        k = obj["k"]
+        if type(k) is not int:
+            raise ValueError(f"k {k!r} is not an integer")
+        return cls(len(entries), k, tuple(entries), orientation)
 
 
 @dataclass(frozen=True)
@@ -287,7 +291,7 @@ class DecoratedPermutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecoratedPermutation":
-        dp = cls(tuple(obj["perm"]), tuple(obj["col"]))
+        dp = cls(tuple(json_list(obj, "perm")), tuple(json_list(obj, "col")))
         if obj.get("n", dp.n) != dp.n:
             raise ValueError("inconsistent n in decorated permutation payload")
         if not dp.is_valid():

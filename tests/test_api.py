@@ -2,7 +2,7 @@ import ast
 from pathlib import Path
 
 import positroids
-from positroids import arrows
+from positroids import arrows, matroids
 
 REMOVED = (
     "CensusRecord",
@@ -43,6 +43,7 @@ def test_no_assert_in_library_source():
 
 
 def test_global_caches_are_bounded():
-    for cached in (positroids.lpm_bases, positroids.uniform_matroid, arrows._cw_masks, arrows._ccw_masks):
+    caches = (positroids.lpm_bases, positroids.uniform_matroid, arrows._cw_masks, arrows._ccw_masks, matroids._cap_table)
+    for cached in caches:
         maxsize = cached.cache_info().maxsize
         assert isinstance(maxsize, int) and maxsize > 0, cached

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from positroids import uniform_dp
 from positroids.cli import main
 
 
@@ -69,6 +70,12 @@ class TestConvert:
             ("lpm", '{"n":3,"U":5,"L":[2]}', "U 5 is not a list"),
             ("lpm", '{"n":3,"U":[1],"L":"2"}', "L '2' is not a list"),
             ("necklace", '{"k":1,"entries":[1,2,3]}', "entry 1 is not a list"),
+            ("matroid", '{"n":3,"bases":5}', "bases 5 is not a list"),
+            ("necklace", '{"k":1,"entries":5}', "entries 5 is not a list"),
+            ("dp", '{"perm":5,"col":[0]}', "perm 5 is not a list"),
+            ("dp", '{"perm":[1],"col":5}', "col 5 is not a list"),
+            ("necklace", '{"k":"1","entries":[[1]]}', "k '1' is not an integer"),
+            ("necklace", '{"k":true,"entries":[[1]]}', "k True is not an integer"),
             ("matroid", "no-such-m.json", "payload 'no-such-m.json' is neither JSON nor an existing file"),
             ("lpm", '{"n":3,', "payload '{\"n\":3,' is neither JSON nor an existing file"),
         ],
@@ -99,6 +106,13 @@ class TestConvert:
         )
         assert code == 0
         assert out.strip() == "1c 2c 3o"
+
+    def test_too_many_candidate_bases_is_refused(self, capsys):
+        # U_{8,17}: C(17, 8) = 24,310 k-subsets, above the basis layer's bound
+        dp = uniform_dp(8, 17).to_text()
+        code, out, err = run(capsys, "convert", "--from", "dp", "--to", "matroid", "--input", dp)
+        assert (code, out) == (2, "")
+        assert err == "error: 24310 8-subsets of [17] exceed the 12870 that basis generation supports\n"
 
     def test_invalid_necklace_is_refused(self, capsys):
         # its bases_from_necklace family is the positroid of 1c 2o 3o, whose

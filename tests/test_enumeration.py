@@ -197,6 +197,14 @@ class TestCensusRecords:
         with pytest.raises(ValueError, match="unknown census kind 'widgets'"):
             census_records("widgets", 1, 3)
 
+    def test_basis_counts_match_the_gale_filter(self):
+        # the census counts bits of the kernel's bitset; the oracle builds bases
+        records = list(census_records("positroids", None, 6))
+        assert len(records) == 1957
+        for r in records:
+            dp = DecoratedPermutation.from_text(r["dp"])
+            assert r["basis_count"] == len(support.gale_filter_bases(dp.necklace).bases), r
+
     def test_positroid_census_leaves_the_cache_alone(self):
         # no census entry is looked up again, so none is cached
         positroid_of.cache_clear()

@@ -1,12 +1,15 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
+from positroids import matroids
 from positroids.cyclic import mask_of
 from positroids import (
     DecoratedPermutation,
+    GrassmannNecklace,
     Matroid,
     bases_from_necklace,
     positroid_of,
@@ -257,6 +260,29 @@ class TestKernelsAgainstOracles:
                     assert str(got.value) == str(exc)
             else:
                 assert list(route().entries) == expected
+
+    def test_edge_ranks_and_sizes(self):
+        for n, k in ((1, 0), (1, 1)):
+            neck = GrassmannNecklace(n, k, [range(1, k + 1)] * n)
+            assert bases_from_necklace(neck) == support.gale_filter_bases(neck)
+        assert len(bases_from_necklace(uniform_dp(7, 14).necklace).bases) == math.comb(14, 7)
+
+    def test_bases_are_the_table_subsets(self):
+        # positroids of one (n, k) hold the cap table's subset objects
+        m = bases_from_necklace(DecoratedPermutation.from_text("2 6 1 5 3 4").necklace)
+        uniform = bases_from_necklace(uniform_dp(3, 6).necklace)
+        subsets = list(map(id, matroids._cap_table(6, 3)[0]))
+        assert list(map(id, uniform.bases)) == subsets
+        assert set(map(id, m.bases)) < set(subsets)
+
+    def test_refused_above_the_subset_bound(self):
+        assert matroids.MAX_SUBSETS == math.comb(16, 8)
+        assert len(bases_from_necklace(uniform_dp(8, 16).necklace).bases) == math.comb(16, 8)
+        refusal = r"^24310 8-subsets of \[17\] exceed the 12870 that basis generation supports$"
+        with pytest.raises(ValueError, match=refusal):
+            bases_from_necklace(uniform_dp(8, 17).necklace)
+        # a small rank at a large n is within the bound
+        assert len(bases_from_necklace(uniform_dp(2, 64).necklace).bases) == math.comb(64, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(support.subset_sequences(max_n=9))
