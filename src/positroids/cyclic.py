@@ -56,20 +56,17 @@ def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
         check_element(x, n)
 
 
-def json_list(obj: dict, field: str) -> list:
-    """obj[field], refused unless it is a JSON list."""
-    value = obj[field]
+def json_list(value, what: str) -> list:
+    """A JSON value, refused unless it is a list."""
     if not isinstance(value, list):
-        raise ValueError(f"{field} {value!r} is not a list")
+        raise ValueError(f"{what} {value!r} is not a list")
     return value
 
 
 def distinct_members(items: list, what: str) -> frozenset:
     """The members of a JSON list as a set; refuses a non-list and a
     repeated element."""
-    if not isinstance(items, list):
-        raise ValueError(f"{what} {items!r} is not a list")
-    members = frozenset(items)
+    members = frozenset(json_list(items, what))
     if len(members) != len(items):
         raise ValueError(f"{what} {items} repeats an element")
     return members

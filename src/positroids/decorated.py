@@ -101,7 +101,7 @@ class GrassmannNecklace:
 
     @classmethod
     def from_json(cls, obj: dict, orientation: str = "necklace") -> "GrassmannNecklace":
-        entries = [distinct_members(e, "entry") for e in json_list(obj, "entries")]
+        entries = [distinct_members(e, "entry") for e in json_list(obj["entries"], "entries")]
         k = obj["k"]
         if type(k) is not int:
             raise ValueError(f"k {k!r} is not an integer")
@@ -291,7 +291,7 @@ class DecoratedPermutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DecoratedPermutation":
-        dp = cls(tuple(json_list(obj, "perm")), tuple(json_list(obj, "col")))
+        dp = cls(tuple(json_list(obj["perm"], "perm")), tuple(json_list(obj["col"], "col")))
         if obj.get("n", dp.n) != dp.n:
             raise ValueError("inconsistent n in decorated permutation payload")
         if not dp.is_valid():

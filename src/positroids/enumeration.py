@@ -217,7 +217,7 @@ def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Itera
                 "k": dp.rank,
                 "dp": dp.to_text(),
                 "necklace": dp.necklace.to_json()["entries"],
-                "basis_count": _basis_bits(dp.necklace).bit_count(),
+                "basis_count": _basis_bits(dp.necklace)[1].bit_count(),
             }
         return
     for rank in [k] if k is not None else range(CENSUS_KINDS[what][1], n + 1):

@@ -4,8 +4,8 @@ A matroid stores its full basis family and derives everything else (rank
 function, circuits, duality, loops and coloops) from it.  Three routes are
 bitmask kernels.  ``bases_from_necklace`` applies each rank cap on a cyclic
 interval to all k-subsets at once, as one AND with a bitset from the packed
-cap table of (n, k); the positroid census counts the surviving bits without
-building a matroid.  Input off the necklace axioms gets the caps all the
+cap table of (n, k), cached for n <= 10 and built row by row above; the
+positroid census counts the surviving bits without building a matroid.  Input off the necklace axioms gets the caps all the
 same: [[1], [3], [1]] gives the one basis {1}.  ``Matroid.rank_table`` packs
 the ranks of all subsets one byte each and computes every field at once
 with big-int operations, over ``byte_table_masks`` and ``subset_max``,
@@ -20,9 +20,8 @@ at desk scale.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable
 
 from .cyclic import (
@@ -196,7 +195,7 @@ class Matroid:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Matroid":
-        return cls(obj["n"], [distinct_members(b, "basis") for b in json_list(obj, "bases")])
+        return cls(obj["n"], [distinct_members(b, "basis") for b in json_list(obj["bases"], "bases")])
 
 
 @lru_cache(maxsize=16)
@@ -235,55 +234,76 @@ def subset_max(packed: int, n: int) -> int:
     return packed
 
 
-# k-subsets a cap table may index: C(16, 8), the widest rank at n = 16
-MAX_SUBSETS = 12_870
+# cap tables are cached for ground sets up to this size, where every
+# table together takes 1.4 MB; larger ones are built row by row per call
+CACHED_N = 10
+
+
+def _subsets(n: int, k: int) -> tuple[tuple[frozenset[int], ...], list[int]]:
+    """The k-subsets of [n] in lexicographic order, and for each element x
+    the bitset of those that hold x (bit c for the c-th subset)."""
+    subsets = tuple(map(frozenset, itertools.combinations(range(1, n + 1), k)))
+    # digits[x - 1]: the binary digits of has[x], highest bit first, marked
+    # from the members of each subset or, for k > n / 2, its fewer non-members
+    members = 2 * k <= n
+    ground = frozenset(range(1, n + 1))
+    digits = [bytearray(b"0" if members else b"1") * len(subsets) for _ in range(n)]
+    mark = ord("1" if members else "0")
+    for c, b in enumerate(reversed(subsets)):
+        for x in b if members else ground - b:
+            digits[x - 1][c] = mark
+    return subsets, [int(d, 2) for d in digits]
+
+
+def _arc_caps(has: list[int], s: int, k: int, count: int) -> tuple:
+    """The rank caps on the arcs from bit s, as bitsets over ``count``
+    subsets: ``row[L][t]`` holds the subsets with more than t members in
+    the arc of length L, for 1 <= L < n and t < k.
+
+    Each arc grows one element x at a time, updating the "at least j
+    members" bitsets as ge[j] |= ge[j-1] & has[x]: n*k big-int operations.
+    """
+    n = len(has)
+    ge = [(1 << count) - 1] + [0] * k
+    row = [()]
+    for length in range(1, n):
+        x = has[(s + length - 1) % n]
+        for j in range(min(k, length), 0, -1):
+            ge[j] |= ge[j - 1] & x
+        row.append(tuple(ge[1:]))
+    return tuple(row)
 
 
 @lru_cache(maxsize=32)
 def _cap_table(n: int, k: int) -> tuple[tuple[frozenset[int], ...], tuple]:
-    """The k-subsets of [n] in lexicographic order, shared by every basis
-    family built from them, and the rank caps on cyclic intervals as
-    bitsets over them (bit c for the c-th subset): ``rows[s][L][t]`` holds
-    the subsets with more than t members in the arc of length L from bit s,
-    for 1 <= L < n and t < k.
+    """The k-subsets of [n] (``_subsets``), shared by every basis family
+    built from them, and ``rows[s]``, the caps on the arcs from bit s
+    (``_arc_caps``): n*n*k big-int operations.
 
-    Each arc grows one element x at a time, updating the "at least j
-    members" bitsets as ge[j] |= ge[j-1] & has[x]: n*n*k big-int
-    operations.  Build time and footprint, Python 3.11: 0.1 ms and 8 KB at
-    (6, 3), 0.25 ms and 24 KB at (8, 4), 1.4 ms and 0.75 MB at (12, 6),
-    31 ms and 11.2 MB at (16, 8), mostly the subsets themselves.  The cache
-    holds 32 tables, which covers every rank of every n from 6 to 8 at once
-    (24 keys, 0.3 MB together).  More than ``MAX_SUBSETS`` subsets are
-    refused, so a table is at most 11.2 MB for n <= 16 and 36 MB for any n
-    (at (43, 40): 12,341 subsets of 40 members), and the cache at most 32
-    times that.
+    Only ``_basis_bits`` calls it, and only for n <= ``CACHED_N``.  Build
+    time and footprint, Python 3.11: 0.1 ms and 9 KB at (6, 3), 0.2 ms and
+    26 KB at (8, 4), 0.5 ms and 0.21 MB at (10, 5), mostly the subsets
+    themselves.  The 32 tables the cache holds cover every rank of every n
+    from 6 to 8 at once (24 keys, 0.3 MB together), and every table with
+    n <= 10 together is 1.4 MB, which bounds the cache.
     """
-    count = math.comb(n, k)
-    if count > MAX_SUBSETS:
-        raise ValueError(f"{count} {k}-subsets of [{n}] exceed the {MAX_SUBSETS} that basis generation supports")
-    subsets = tuple(map(frozenset, itertools.combinations(range(1, n + 1), k)))
-    # has[x]: the subsets holding element x + 1, read off one bit string per x
-    has = [int("".join("1" if x + 1 in b else "0" for b in reversed(subsets)), 2) for x in range(n)]
-    full = (1 << count) - 1
+    subsets, has = _subsets(n, k)
     # equal bitsets are stored once: on arcs longer than n - k + t every
     # subset has more than t members, which matters for k close to n
     shared: dict[int, int] = {}
-    rows = []
-    for s in range(n):
-        ge = [full] + [0] * k
-        row = [()]
-        for length in range(1, n):
-            x = has[(s + length - 1) % n]
-            for j in range(k, 0, -1):
-                ge[j] |= ge[j - 1] & x
-            row.append(tuple(map(shared.setdefault, ge[1:], ge[1:])))
-        rows.append(tuple(row))
-    return subsets, tuple(rows)
+    rows = tuple(
+        tuple(tuple(map(shared.setdefault, caps, caps)) for caps in _arc_caps(has, s, k, len(subsets)))
+        for s in range(n)
+    )
+    return subsets, rows
 
 
-def _basis_bits(necklace: GrassmannNecklace) -> int:
-    """The bases of the positroid of a necklace, as a bitset over the
-    k-subsets of ``_cap_table``: every subset, less those over some cap.
+def _basis_bits(necklace: GrassmannNecklace) -> tuple[tuple[frozenset[int], ...], int]:
+    """The k-subsets of [n] in lexicographic order, and the bases of the
+    positroid of a necklace as a bitset over them: every subset, less
+    those over some cap.  The caps come from the cached ``_cap_table`` for
+    n <= ``CACHED_N``; above it, each row is built for the entry that
+    needs one and dropped, so the memory held is one row, not n of them.
 
     I_i <=_i B says that, for each t from 0, the t-th member of B under <_i
     comes no earlier than the t-th member x of I_i: |B & P| <= t for the
@@ -292,24 +312,31 @@ def _basis_bits(necklace: GrassmannNecklace) -> int:
     intervals, one per start and length, so no cap repeats.
     """
     n, k = necklace.n, necklace.k
-    subsets, rows = _cap_table(n, k)
+    if n <= CACHED_N:
+        subsets, rows = _cap_table(n, k)
+        row_of = rows.__getitem__
+    else:
+        subsets, has = _subsets(n, k)
+        row_of = partial(_arc_caps, has, k=k, count=len(subsets))
     alive = (1 << len(subsets)) - 1
     full = full_mask(n)
     for i, entry in enumerate(necklace.masks):
-        row = rows[i]
         # bit j of rot: the element at position j of <_i
         rot = (entry >> i | entry << (n - i)) & full
+        row = None
         t = 0
         while rot:
             low = rot & -rot
             j = low.bit_length() - 1
             if t < j:
+                if row is None:
+                    row = row_of(i)
                 alive &= ~row[j][t]
             rot ^= low
             t += 1
     if not alive:
         raise ValueError("no subset dominates every necklace entry; invalid necklace")
-    return alive
+    return subsets, alive
 
 
 def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
@@ -317,17 +344,16 @@ def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
 
     The positroid is cut out by rank caps on cyclic intervals (Oh,
     arXiv:0803.1018): ``_basis_bits`` applies each cap to all k-subsets at
-    once, as one AND with a bitset of the packed cap table ``_cap_table``,
-    and the surviving bits decode to the table's shared subsets.  Refuses
-    more than ``MAX_SUBSETS`` k-subsets (ValueError).
+    once, as one AND with a bitset of the packed cap table, and the
+    surviving bits decode to the table's subsets, shared by every call
+    with the same cached (n, k).
 
     Assumes the necklace axioms.  Input that breaks them may leave no
     subset (ValueError) or yield the positroid of another necklace:
     [[1], [3], [1]] gives the one basis {1}.  Outside input is checked by
     ``DecoratedPermutation.from_necklace``, which names the violation.
     """
-    alive = _basis_bits(necklace)
-    subsets = _cap_table(necklace.n, necklace.k)[0]
+    subsets, alive = _basis_bits(necklace)
     return Matroid(necklace.n, [b for b, bit in zip(subsets, bin(alive)[:1:-1]) if bit == "1"])
 
 

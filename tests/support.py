@@ -491,10 +491,10 @@ def equicardinal_families(draw, max_n=9):
 
 
 @st.composite
-def subset_sequences(draw, max_n=8):
+def subset_sequences(draw, min_n=1, max_n=8):
     """A GrassmannNecklace of n arbitrary k-subsets of [n]; the necklace
     axioms hold only by chance."""
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     k = draw(st.integers(0, n))
     entry = st.sets(st.integers(1, n), min_size=k, max_size=k)
     return GrassmannNecklace(n, k, tuple(draw(entry) for _ in range(n)))

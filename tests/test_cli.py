@@ -107,12 +107,14 @@ class TestConvert:
         assert code == 0
         assert out.strip() == "1c 2c 3o"
 
-    def test_too_many_candidate_bases_is_refused(self, capsys):
-        # U_{8,17}: C(17, 8) = 24,310 k-subsets, above the basis layer's bound
+    def test_large_uniform_converts(self, capsys):
+        # U_{8,17}: every one of the C(17, 8) = 24,310 k-subsets is a basis
         dp = uniform_dp(8, 17).to_text()
         code, out, err = run(capsys, "convert", "--from", "dp", "--to", "matroid", "--input", dp)
-        assert (code, out) == (2, "")
-        assert err == "error: 24310 8-subsets of [17] exceed the 12870 that basis generation supports\n"
+        assert (code, err) == (0, "")
+        bases = json.loads(out)["bases"]
+        assert len(bases) == 24310
+        assert bases[0] == list(range(1, 9)) and bases[-1] == list(range(10, 18))
 
     def test_invalid_necklace_is_refused(self, capsys):
         # its bases_from_necklace family is the positroid of 1c 2o 3o, whose

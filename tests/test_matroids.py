@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,14 +277,53 @@ class TestKernelsAgainstOracles:
         assert list(map(id, uniform.bases)) == subsets
         assert set(map(id, m.bases)) < set(subsets)
 
-    def test_refused_above_the_subset_bound(self):
-        assert matroids.MAX_SUBSETS == math.comb(16, 8)
-        assert len(bases_from_necklace(uniform_dp(8, 16).necklace).bases) == math.comb(16, 8)
-        refusal = r"^24310 8-subsets of \[17\] exceed the 12870 that basis generation supports$"
-        with pytest.raises(ValueError, match=refusal):
-            bases_from_necklace(uniform_dp(8, 17).necklace)
-        # a small rank at a large n is within the bound
-        assert len(bases_from_necklace(uniform_dp(2, 64).necklace).bases) == math.comb(64, 2)
+    def test_no_size_is_refused(self):
+        # U_{8,17} converts in test_cli
+        assert len(bases_from_necklace(uniform_dp(3, 64).necklace).bases) == math.comb(64, 3)
+        assert Matroid(17, itertools.combinations(range(1, 18), 8)).is_positroid()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            support.decorated_permutations(min_n=matroids.CACHED_N + 1, max_n=matroids.CACHED_N + 2).map(
+                lambda dp: dp.necklace
+            ),
+            support.subset_sequences(min_n=matroids.CACHED_N + 1, max_n=matroids.CACHED_N + 2),
+        )
+    )
+    def test_same_bases_or_same_error_beyond_the_cache(self, necklace):
+        # caps built per call above CACHED_N, on positroids and off the axioms
+        outcomes = []
+        for route in (bases_from_necklace, support.gale_filter_bases):
+            try:
+                outcomes.append(route(necklace))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_cap_cache_footprint_is_bounded(self):
+        # every rank of [16] in turn leaves nothing cached; every (n, k)
+        # with n <= CACHED_N in turn leaves 32 tables, under 1.4 MB
+        big = [uniform_dp(k, 16).necklace for k in range(17)]
+        small = [uniform_dp(k, n).necklace for n in range(1, matroids.CACHED_N + 1) for k in range(n + 1)]
+        for necklace in big + small:
+            necklace.masks
+        matroids._cap_table.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for necklace in big:
+                matroids._basis_bits(necklace)
+            assert matroids._cap_table.cache_info().currsize == 0
+            for necklace in small:
+                matroids._basis_bits(necklace)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert matroids._cap_table.cache_info().currsize == 32
+        assert retained < 1.4e6
 
     @settings(max_examples=200, deadline=None)
     @given(support.subset_sequences(max_n=9))
