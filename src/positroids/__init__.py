@@ -9,7 +9,6 @@ exhaustive generators for desk-scale cross-validation.
 from .arrows import (
     ArrowSet,
     ccw_arrows,
-    ccw_function,
     cw_arrows,
     cw_function,
     rank_cyclic_interval,
@@ -18,8 +17,6 @@ from .arrows import (
 from .cyclic import (
     CyclicInterval,
     cyclic_components,
-    cyclic_leq,
-    cyclic_sorted,
     gale_leq,
     gale_max,
     gale_min,
@@ -28,7 +25,6 @@ from .decorated import DecoratedPermutation, GrassmannNecklace, shift_interval, 
 from .enumeration import (
     all_decorated_permutations,
     all_lpms,
-    all_positroids,
     census_records,
     elementary_flag_pairs,
 )
@@ -58,17 +54,13 @@ __all__ = [
     "ReferenceReport",
     "all_decorated_permutations",
     "all_lpms",
-    "all_positroids",
     "bases_from_necklace",
     "ccw_arrows",
-    "ccw_function",
     "census_records",
     "containment_check",
     "cw_arrows",
     "cw_function",
     "cyclic_components",
-    "cyclic_leq",
-    "cyclic_sorted",
     "elementary_flag_pairs",
     "exists_shift",
     "gale_leq",

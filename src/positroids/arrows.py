@@ -1,11 +1,14 @@
-"""CW-arrows and CCW-arrows of a decorated permutation, their counting
-functions, and the rank formulas they support.
+"""CW-arrows and CCW-arrows of a decorated permutation, the CW counting
+function, and the rank formulas it supports.
 
 The CW-arrow at position i is the clockwise arc [i, perm(i)] (the full
 circle at a coloop, a singleton at a loop); the CCW-arrow is the arc
 [perm(i), i] with loop and coloop swapping roles.  The CW count of a set,
 with the whole-circle value pinned to n - rank, reads off positroid ranks
 of cyclic intervals exactly and upper-bounds the rank everywhere else.
+The CCW count, which only the tests read, is the oracle
+``tests/support.ccw_function``; the CCW covering check in ``quotients``
+reads the arrow masks directly.
 """
 from __future__ import annotations
 
@@ -17,19 +20,12 @@ from .cyclic import CACHE_SIZE, CyclicInterval, full_mask, mask_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
 
-CW = "cw"
-CCW = "ccw"
-
 
 @dataclass(frozen=True)
 class ArrowSet:
-    dp: DecoratedPermutation
-    kind: str
-    arrows: tuple[CyclicInterval, ...]
+    """The n arrows of a decorated permutation; position i's is arrows[i - 1]."""
 
-    def arrow(self, i: int) -> CyclicInterval:
-        """The arrow starting at position i, 1-indexed."""
-        return self.arrows[i - 1]
+    arrows: tuple[CyclicInterval, ...]
 
     def masks(self) -> tuple[int, ...]:
         return tuple(a.mask for a in self.arrows)
@@ -44,7 +40,7 @@ def cw_arrows(dp: DecoratedPermutation) -> ArrowSet:
         CyclicInterval.full(n) if dp.col[i - 1] == COLOOP else CyclicInterval.arc(n, i, dp.perm[i - 1])
         for i in range(1, n + 1)
     )
-    return ArrowSet(dp, CW, arrows)
+    return ArrowSet(arrows)
 
 
 def ccw_arrows(dp: DecoratedPermutation) -> ArrowSet:
@@ -53,7 +49,7 @@ def ccw_arrows(dp: DecoratedPermutation) -> ArrowSet:
         CyclicInterval.full(n) if dp.col[i - 1] == LOOP else CyclicInterval.arc(n, dp.perm[i - 1], i)
         for i in range(1, n + 1)
     )
-    return ArrowSet(dp, CCW, arrows)
+    return ArrowSet(arrows)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -72,12 +68,6 @@ def _cw_count(dp: DecoratedPermutation, mask: int) -> int:
     return sum(1 for a in _cw_masks(dp) if a & ~mask == 0)
 
 
-def _ccw_count(dp: DecoratedPermutation, mask: int) -> int:
-    if mask == full_mask(dp.n):
-        return dp.rank
-    return sum(1 for a in _ccw_masks(dp) if a & ~mask == 0)
-
-
 def cw_function(dp: DecoratedPermutation, subset: Iterable[int]) -> int:
     """Number of CW-arrows contained in the subset; n - rank on the full set.
 
@@ -87,13 +77,6 @@ def cw_function(dp: DecoratedPermutation, subset: Iterable[int]) -> int:
     if dp.coloops:
         raise ValueError(f"cw is undefined in the presence of coloops {sorted(dp.coloops)}")
     return _cw_count(dp, mask_of(subset, dp.n))
-
-
-def ccw_function(dp: DecoratedPermutation, subset: Iterable[int]) -> int:
-    """CCW counterpart of cw_function; rank on the full set; needs a loop-free dp."""
-    if dp.loops:
-        raise ValueError(f"ccw is undefined in the presence of loops {sorted(dp.loops)}")
-    return _ccw_count(dp, mask_of(subset, dp.n))
 
 
 def rank_cyclic_interval(dp: DecoratedPermutation, interval: CyclicInterval) -> int:

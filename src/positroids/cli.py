@@ -15,6 +15,7 @@ LPM converted to a matroid is printed as parsed, positroid or not.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -201,23 +202,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify_paper(args) -> int:
     report = run_reference_examples()
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": report.ok,
-                    "elapsed_seconds": report.elapsed,
-                    "results": [
-                        {
-                            "name": r.name,
-                            "passed": r.passed,
-                            "expected": r.expected,
-                            "actual": r.actual,
-                        }
-                        for r in report.results
-                    ],
-                }
-            )
-        )
+        results = [dataclasses.asdict(r) for r in report.results]
+        print(json.dumps({"ok": report.ok, "elapsed_seconds": report.elapsed, "results": results}))
     else:
         for r in report.results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")

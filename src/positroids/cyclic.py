@@ -31,19 +31,19 @@ ARC = "arc"
 
 
 def check_ground(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= MAX_GROUND:
+    if type(n) is not int or not 1 <= n <= MAX_GROUND:
         raise ValueError(f"ground set size must be an integer in 1..{MAX_GROUND}, got {n!r}")
 
 
 def check_element(x: int, n: int) -> None:
-    if not isinstance(x, int) or not 1 <= x <= n:
+    if type(x) is not int or not 1 <= x <= n:
         raise ValueError(f"element {x!r} out of range 1..{n}")
 
 
 def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
     """check_element on the members of the given sets, each value once.
 
-    A union compares by value, so a non-int equal to an int (2.0 and 2)
+    A union compares by value, so a non-int equal to an int (2.0 or True)
     would hide behind it; one pass over the member types sends such input
     to the element-by-element check instead.
     """
@@ -105,25 +105,6 @@ def members_of(mask: int) -> frozenset[int]:
 def cyclic_pos(i: int, a: int, n: int) -> int:
     """0-based position of a in the order <_i, i.e. 0 for a = i, n-1 for a = i-1."""
     return (a - i) % n
-
-
-def cyclic_leq(i: int, a: int, b: int, n: int) -> bool:
-    """Whether a <=_i b in the rotated total order starting at i.
-
-    >>> cyclic_leq(3, 4, 1, 5)
-    True
-    >>> cyclic_leq(6, 5, 6, 7)
-    False
-    """
-    check_ground(n)
-    for x in (i, a, b):
-        check_element(x, n)
-    return cyclic_pos(i, a, n) <= cyclic_pos(i, b, n)
-
-
-def cyclic_sorted(i: int, members: Iterable[int], n: int) -> list[int]:
-    """Members sorted increasingly under <_i."""
-    return sorted(members, key=lambda x: cyclic_pos(i, x, n))
 
 
 def gale_leq(i: int, a: Iterable[int], b: Iterable[int], n: int) -> bool:
@@ -295,17 +276,6 @@ class CyclicInterval:
         if self.kind == ARC:
             return {"kind": ARC, "start": self.start, "end": self.end}
         return {"kind": self.kind}
-
-    @classmethod
-    def from_json(cls, obj: dict, n: int) -> "CyclicInterval":
-        kind = obj.get("kind")
-        if kind == ARC:
-            return cls.arc(n, obj["start"], obj["end"])
-        if kind == EMPTY:
-            return cls.empty(n)
-        if kind == FULL:
-            return cls.full(n)
-        raise ValueError(f"bad cyclic interval payload: {obj!r}")
 
 
 def cyclic_components(members: Iterable[int], n: int) -> list[CyclicInterval]:

@@ -6,6 +6,9 @@ each position: 0 on every unfixed point, +1 (a loop, written with an ``o``
 suffix in text form) or -1 (a coloop, ``c`` suffix) on each fixed point.
 Decorated permutations are in bijection with Grassmann necklaces and are
 the compact encoding of positroids used everywhere in this package.
+Necklaces and conecklaces share the untagged type ``GrassmannNecklace``;
+which one a value is follows from the property that made it.  Images,
+colours and n must be ints: a JSON ``true`` is refused, not read as 1.
 """
 from __future__ import annotations
 
@@ -38,22 +41,18 @@ _COL_OF_SUFFIX = {"": 0, "o": LOOP, "c": COLOOP}
 class GrassmannNecklace:
     """A sequence (I_1, ..., I_n) of k-subsets of [n].
 
-    The same type stores conecklaces (sequences of Gale maxima), tagged by
-    ``orientation``; the necklace axioms are only meaningful for the
-    ``"necklace"`` orientation and are never imposed at construction time.
+    The same type stores conecklaces (sequences of Gale maxima), so the
+    necklace axioms are never imposed at construction time.
     """
 
     n: int
     k: int
     entries: tuple[frozenset[int], ...]
-    orientation: str = "necklace"
 
     def __post_init__(self):
         check_ground(self.n)
         if not 0 <= self.k <= self.n:
             raise ValueError(f"rank {self.k} out of range for n={self.n}")
-        if self.orientation not in ("necklace", "conecklace"):
-            raise ValueError(f"bad orientation {self.orientation!r}")
         entries = tuple(frozenset(e) for e in self.entries)
         object.__setattr__(self, "entries", entries)
         if len(entries) != self.n:
@@ -100,12 +99,12 @@ class GrassmannNecklace:
         return {"k": self.k, "entries": [sorted(e) for e in self.entries]}
 
     @classmethod
-    def from_json(cls, obj: dict, orientation: str = "necklace") -> "GrassmannNecklace":
+    def from_json(cls, obj: dict) -> "GrassmannNecklace":
         entries = [distinct_members(e, "entry") for e in json_list(obj["entries"], "entries")]
         k = obj["k"]
         if type(k) is not int:
             raise ValueError(f"k {k!r} is not an integer")
-        return cls(len(entries), k, tuple(entries), orientation)
+        return cls(len(entries), k, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class DecoratedPermutation:
         for x in perm:
             check_element(x, n)
         for c in col:
-            if c not in (-1, 0, 1):
+            if type(c) is not int or c not in (-1, 0, 1):
                 raise ValueError(f"colour {c!r} not in {{-1, 0, +1}}")
 
     @property
@@ -192,7 +191,7 @@ class DecoratedPermutation:
         """J_i = perm^{-1}(I_i), entry by entry."""
         inv = self.inverse
         entries = tuple(frozenset(inv[x - 1] for x in e) for e in self.necklace.entries)
-        return GrassmannNecklace(self.n, self.necklace.k, entries, "conecklace")
+        return GrassmannNecklace(self.n, self.necklace.k, entries)
 
     @cached_property
     def rank(self) -> int:
@@ -292,8 +291,9 @@ class DecoratedPermutation:
     @classmethod
     def from_json(cls, obj: dict) -> "DecoratedPermutation":
         dp = cls(tuple(json_list(obj["perm"], "perm")), tuple(json_list(obj["col"], "col")))
-        if obj.get("n", dp.n) != dp.n:
-            raise ValueError("inconsistent n in decorated permutation payload")
+        n = obj.get("n", dp.n)
+        if type(n) is not int or n != dp.n:
+            raise ValueError(f"inconsistent n {n!r} in decorated permutation payload of length {dp.n}")
         if not dp.is_valid():
             raise ValueError("invalid decorated permutation payload")
         return dp

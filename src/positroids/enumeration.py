@@ -1,5 +1,6 @@
-"""Exhaustive generators at desk scale: decorated permutations, positroids,
-lattice path matroids, and elementary flag positroid pairs.
+"""Exhaustive generators at desk scale: decorated permutations (each the
+code of one positroid), lattice path matroids, and elementary flag
+positroid pairs.
 
 Every generator is deterministic (canonical lexicographic order) and lazy.
 The default bounds keep full enumeration instant to a few minutes; callers
@@ -8,7 +9,9 @@ may raise them explicitly, which the CLI does only with a loud warning.
 ``enumerate``; ``CENSUS_KINDS`` is the one table of its kinds, their
 default bounds and their lowest ranks.  The positroid census counts bases
 without building a matroid: ``basis_count`` is the popcount of the basis
-bitset that ``bases_from_necklace`` decodes.
+bitset that ``bases_from_necklace`` decodes.  Every all-ranks census but
+the decorated permutations runs rank by rank and yields as it goes, so
+the positroid census holds one object at a time.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import Iterator, Optional
 from .cyclic import members_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .lpm import Lpm, lpm_bases
-from .matroids import Matroid, _basis_bits, positroid_of
+from .matroids import _basis_bits, positroid_of
 from .quotients import _gap_is_monotone
 
 DEFAULT_MAX_N = 8
@@ -59,15 +62,6 @@ def all_decorated_permutations(
             for pos, c in zip(fixed, decorations):
                 col[pos] = c
             yield DecoratedPermutation(perm, tuple(col))
-
-
-def all_positroids(k: int, n: int, max_n: Optional[int] = None) -> Iterator[Matroid]:
-    """The positroid of every rank-k decorated permutation of [n], each once."""
-    _check_bound(n, max_n, DEFAULT_MAX_N, "positroid")
-    if not 0 <= k <= n:
-        raise ValueError(f"rank {k} out of range 0..{n}")
-    for dp in all_decorated_permutations(n, max_n, rank=k):
-        yield positroid_of(dp)
 
 
 def all_lpms(k: int, n: int, max_n: Optional[int] = None) -> Iterator[Lpm]:
@@ -204,24 +198,18 @@ def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Itera
         for dp in all_decorated_permutations(n, max_n, rank=k):
             yield {"n": n, "k": dp.rank, "dp": dp.to_text()}
         return
-    if what == "positroids":
-        dps = all_decorated_permutations(n, max_n, rank=k)
-        if k is None:
-            # one pass, grouped by rank; the sort is stable, so each rank
-            # keeps the lexicographic order
-            dps = sorted(dps, key=lambda dp: dp.rank)
-        for dp in dps:
-            # the bases are counted, not built, and positroid_of's cache is bypassed
-            yield {
-                "n": n,
-                "k": dp.rank,
-                "dp": dp.to_text(),
-                "necklace": dp.necklace.to_json()["entries"],
-                "basis_count": _basis_bits(dp.necklace)[1].bit_count(),
-            }
-        return
     for rank in [k] if k is not None else range(CENSUS_KINDS[what][1], n + 1):
-        if what == "lpms":
+        if what == "positroids":
+            for dp in all_decorated_permutations(n, max_n, rank=rank):
+                # the bases are counted, not built, and positroid_of's cache is bypassed
+                yield {
+                    "n": n,
+                    "k": rank,
+                    "dp": dp.to_text(),
+                    "necklace": dp.necklace.to_json()["entries"],
+                    "basis_count": _basis_bits(dp.necklace)[1].bit_count(),
+                }
+        elif what == "lpms":
             for p in all_lpms(rank, n, max_n):
                 count = len(lpm_bases(p).bases)
                 yield {"n": n, "k": rank, "U": sorted(p.U), "L": sorted(p.L), "basis_count": count}

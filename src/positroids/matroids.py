@@ -167,7 +167,7 @@ class Matroid:
     @cached_property
     def _conecklace(self) -> GrassmannNecklace:
         entries = gale_extrema(self.bases, self.basis_masks, self.n, range(1, self.n + 1), maximum=True)
-        return GrassmannNecklace(self.n, self.rank, entries, "conecklace")
+        return GrassmannNecklace(self.n, self.rank, entries)
 
     def grassmann_necklace(self) -> GrassmannNecklace:
         """Entry i is the <=_i-minimum basis, read off the prefix counts of

@@ -23,7 +23,7 @@ from positroids import (
     recover_shift_set,
     shift_interval,
 )
-from positroids.arrows import _ccw_count
+from positroids.arrows import _ccw_masks
 from positroids.cyclic import check_element, check_ground, cyclic_pos, full_mask, gale_leq, mask_of
 from positroids.decorated import LOOP, GrassmannNecklace
 from positroids.matroids import Matroid
@@ -220,6 +220,23 @@ def _partitions_into(items: list[int], blocks: int):
     for part in _partitions_into(rest, blocks):
         for idx in range(len(part)):
             yield part[:idx] + [[first] + part[idx]] + part[idx + 1 :]
+
+
+def _ccw_count(dp: DecoratedPermutation, mask: int) -> int:
+    if mask == full_mask(dp.n):
+        return dp.rank
+    return sum(1 for a in _ccw_masks(dp) if a & ~mask == 0)
+
+
+def ccw_function(dp: DecoratedPermutation, subset) -> int:
+    """Number of CCW-arrows contained in the subset; rank on the full set.
+
+    The CCW counterpart of ``positroids.cw_function``, read only by the
+    tests; needs a loop-free dp.
+    """
+    if dp.loops:
+        raise ValueError(f"ccw is undefined in the presence of loops {sorted(dp.loops)}")
+    return _ccw_count(dp, mask_of(subset, dp.n))
 
 
 def verify_ccw_rank_partition(dp: DecoratedPermutation, subset) -> bool:

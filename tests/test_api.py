@@ -1,17 +1,24 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import positroids
+import positroids.cli  # noqa: F401  (perfbench reaches the CLI as P.cli)
 from positroids import arrows, matroids
 
 REMOVED = (
     "CensusRecord",
     "GrassmannMatrix",
+    "all_positroids",
+    "ccw_function",
+    "cyclic_leq",
+    "cyclic_sorted",
     "interval_members",
     "validate",
     "validate_matroid",
     "verify_ccw_rank_partition",
 )
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def test_every_exported_name_resolves():
@@ -28,6 +35,42 @@ def test_removed_aliases_are_gone():
     assert not hasattr(positroids.CyclicInterval, "is_subset_of")
     assert not hasattr(positroids.Matroid, "independent")
     assert not hasattr(positroids.enumeration, "check_census")
+    assert not hasattr(positroids.enumeration, "all_positroids")
+    assert not hasattr(positroids.cyclic, "cyclic_leq")
+    assert not hasattr(positroids.cyclic, "cyclic_sorted")
+    assert not hasattr(positroids.CyclicInterval, "from_json")
+    assert not hasattr(positroids.arrows, "ccw_function")
+    assert not hasattr(positroids.arrows, "_ccw_count")
+    assert not hasattr(positroids.arrows, "CW") and not hasattr(positroids.arrows, "CCW")
+    assert not hasattr(positroids.ArrowSet, "arrow")
+    assert {f.name for f in dataclasses.fields(positroids.ArrowSet)} == {"arrows"}
+    assert "orientation" not in {f.name for f in dataclasses.fields(positroids.GrassmannNecklace)}
+
+
+def _dotted(node) -> str | None:
+    """'a.b.c' for a chain of attributes on a bare name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def test_perfbench_names_resolve():
+    # perfbench/workloads.py reaches the library as P.<name>, and classes'
+    # methods as P.<Class>.<name>; every such chain must resolve
+    chains = {_dotted(node) for node in ast.walk(ast.parse(PERFBENCH.read_text()))}
+    names = sorted(c[2:] for c in chains if c and c.startswith("P."))
+    assert {"positroid_of", "ccw_arrows", "Lpm.from_json", "cli.main"} <= set(names)
+    unresolved = []
+    for name in names:
+        value = positroids
+        for part in name.split("."):
+            value = getattr(value, part, None)
+        if value is None:
+            unresolved.append(name)
+    assert unresolved == []
 
 
 def test_no_assert_in_library_source():

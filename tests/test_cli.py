@@ -76,6 +76,14 @@ class TestConvert:
             ("dp", '{"perm":[1],"col":5}', "col 5 is not a list"),
             ("necklace", '{"k":"1","entries":[[1]]}', "k '1' is not an integer"),
             ("necklace", '{"k":true,"entries":[[1]]}', "k True is not an integer"),
+            ("matroid", '{"n":true,"bases":[[1]]}', "ground set size must be an integer in 1..64, got True"),
+            ("matroid", '{"n":2,"bases":[[true]]}', "element True out of range 1..2"),
+            ("lpm", '{"n":3,"U":[true],"L":[2]}', "element True out of range 1..3"),
+            ("necklace", '{"k":1,"entries":[[true]]}', "element True out of range 1..1"),
+            ("dp", '{"perm":[true],"col":[-1]}', "element True out of range 1..1"),
+            ("dp", '{"perm":[1,2],"col":[true,-1]}', "colour True not in {-1, 0, +1}"),
+            ("dp", '{"perm":[1,2],"col":[1.0,-1]}', "colour 1.0 not in {-1, 0, +1}"),
+            ("dp", '{"n":true,"perm":[1],"col":[-1]}', "inconsistent n True in decorated permutation payload of length 1"),
             ("matroid", "no-such-m.json", "payload 'no-such-m.json' is neither JSON nor an existing file"),
             ("lpm", '{"n":3,', "payload '{\"n\":3,' is neither JSON nor an existing file"),
         ],

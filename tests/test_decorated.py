@@ -154,10 +154,6 @@ class TestConecklace:
         dp = DecoratedPermutation((1, 2, 3), (-1, -1, -1))
         assert dp.conecklace.entries == (frozenset({1, 2, 3}),) * 3
 
-    def test_orientation_tag(self):
-        assert DP_15234.conecklace.orientation == "conecklace"
-        assert DP_15234.necklace.orientation == "necklace"
-
 
 class TestGrassmannIntervalsAndMatrix:
     def test_interval_example(self):

@@ -5,7 +5,6 @@ from positroids import (
     DecoratedPermutation,
     all_decorated_permutations,
     all_lpms,
-    all_positroids,
     census_records,
     elementary_flag_pairs,
     exists_shift,
@@ -65,7 +64,7 @@ class TestDecoratedPermutationCensus:
 
 class TestPositroidCensus:
     def test_full_rank_is_free_matroid(self):
-        (only,) = all_positroids(3, 3)
+        (only,) = (positroid_of(dp) for dp in all_decorated_permutations(3, rank=3))
         assert only.bases == (frozenset({1, 2, 3}),)
 
     def test_census_closure(self):
@@ -73,13 +72,13 @@ class TestPositroidCensus:
         for n in range(1, 7):
             ranks = [dp.rank for dp in all_decorated_permutations(n)]
             for k in range(n + 1):
-                emitted = list(all_positroids(k, n))
+                emitted = [positroid_of(dp) for dp in all_decorated_permutations(n, rank=k)]
                 assert len(emitted) == ranks.count(k)
                 assert len({frozenset(m.bases) for m in emitted}) == len(emitted)
 
     def test_all_emitted_are_positroids(self):
         for k in range(4):
-            for m in all_positroids(k, 3):
+            for m in (positroid_of(dp) for dp in all_decorated_permutations(3, rank=k)):
                 assert m.is_positroid()
 
 
@@ -204,6 +203,22 @@ class TestCensusRecords:
         for r in records:
             dp = DecoratedPermutation.from_text(r["dp"])
             assert r["basis_count"] == len(support.gale_filter_bases(dp.necklace).bases), r
+
+    def test_all_ranks_positroid_census_streams(self, monkeypatch):
+        # the first record comes before the whole [6] stream has been drawn,
+        # so the census never holds every decorated permutation at once
+        drawn = 0
+        generate = enumeration.all_decorated_permutations
+
+        def counted(*args, **kwargs):
+            nonlocal drawn
+            for dp in generate(*args, **kwargs):
+                drawn += 1
+                yield dp
+
+        monkeypatch.setattr(enumeration, "all_decorated_permutations", counted)
+        next(census_records("positroids", None, 6))
+        assert 0 < drawn < support.dp_count(6)
 
     def test_positroid_census_leaves_the_cache_alone(self):
         # no census entry is looked up again, so none is cached
