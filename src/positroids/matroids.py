@@ -357,7 +357,7 @@ def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
     return Matroid(necklace.n, [b for b, bit in zip(subsets, bin(alive)[:1:-1]) if bit == "1"])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def positroid_of(dp: DecoratedPermutation) -> Matroid:
     """The positroid whose Grassmann necklace is the one of dp."""
     return bases_from_necklace(dp.necklace)

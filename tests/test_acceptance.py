@@ -93,8 +93,8 @@ def test_criterion_3_shift_theorem(gap_sweep):
             ("containment necessity", sweep.containment_failures),
         ):
             problems.extend((n, label, sigma.to_text(), pi.to_text()) for sigma, pi in bucket)
-        # the library sweep filters by containment before its rank check; it
-        # must reproduce the oracle sweep triple for triple, in order
+        # the library sweep decides its shift candidates by the rank gap
+        # alone; it must reproduce the oracle sweep triple for triple, in order
         generated = [t for k in range(1, n + 1) for t in elementary_flag_pairs(k, n)]
         if generated != sweep.flag_pairs:
             problems.append((n, "elementary_flag_pairs", len(generated), len(sweep.flag_pairs)))

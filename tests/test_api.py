@@ -1,10 +1,11 @@
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
 import positroids
 import positroids.cli  # noqa: F401  (perfbench reaches the CLI as P.cli)
-from positroids import arrows, matroids
+from positroids import matroids
 
 REMOVED = (
     "CensusRecord",
@@ -86,7 +87,10 @@ def test_no_assert_in_library_source():
 
 
 def test_global_caches_are_bounded():
-    caches = (positroids.lpm_bases, positroids.uniform_matroid, arrows._cw_masks, arrows._ccw_masks, matroids._cap_table)
-    for cached in caches:
+    # every lru_cache wrapper reachable from a positroids.* module, once each
+    modules = [m for name, m in sys.modules.items() if name == "positroids" or name.startswith("positroids.")]
+    caches = {id(v): v for m in modules for v in vars(m).values() if hasattr(v, "cache_info")}
+    assert {positroids.positroid_of, positroids.lpm_bases, matroids._cap_table} <= set(caches.values())
+    for cached in caches.values():
         maxsize = cached.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0, cached
+        assert type(maxsize) is int and maxsize > 0, cached

@@ -130,6 +130,23 @@ class TestFlagPairs:
         assert got == expected
         self._check_shift_sets(got)
 
+    def test_duality_maps_rank_k_onto_rank_n_plus_1_minus_k(self):
+        # quotients dualise: (sigma, pi) is elementary exactly when
+        # (pi*, sigma*) is; shift sets are not preserved, so pairs only
+        for n in range(1, 7):
+            pairs = {k: {(s, p) for s, p, _ in elementary_flag_pairs(k, n)} for k in range(1, n + 1)}
+            for k in range(1, n + 1):
+                assert {(p.dual(), s.dual()) for s, p in pairs[k]} == pairs[n + 1 - k], (n, k)
+
+    def test_sweep_fills_no_global_cache(self):
+        # rank tables are the sweep's own, and no conecklace is built
+        positroid_of.cache_clear()
+        triples = list(elementary_flag_pairs(3, 6))
+        assert triples
+        assert positroid_of.cache_info().currsize == 0
+        for sigma, pi, _ in triples:
+            assert "conecklace" not in vars(sigma) and "conecklace" not in vars(pi)
+
     def test_second_shift_set_for_one_pi_raises(self, monkeypatch):
         # mutation: every plan runs twice, so each candidate is hit twice
         plans = enumeration._unrotation_plans
@@ -195,6 +212,26 @@ class TestCensusRecords:
                 census_records(what, lowest - 1, 3)
         with pytest.raises(ValueError, match="unknown census kind 'widgets'"):
             census_records("widgets", 1, 3)
+
+    @pytest.mark.parametrize(
+        "generate, args, kwargs",
+        [
+            pytest.param(census_records, ("positroids", True, 3), {}, id="census-k-true"),
+            pytest.param(census_records, ("dps", None, True), {}, id="census-n-true"),
+            pytest.param(census_records, ("flag-pairs", 1.0, 3), {}, id="census-k-float"),
+            pytest.param(census_records, ("lpms", None, 3.0), {}, id="census-n-float"),
+            pytest.param(all_decorated_permutations, (True,), {}, id="dps-n-true"),
+            pytest.param(all_decorated_permutations, (3,), {"rank": False}, id="dps-rank-false"),
+            pytest.param(all_lpms, (True, 3), {}, id="lpms-k-true"),
+            pytest.param(all_lpms, (1, 2.0), {}, id="lpms-n-float"),
+            pytest.param(elementary_flag_pairs, (True, 3), {}, id="flag-k-true"),
+            pytest.param(elementary_flag_pairs, (1, True), {}, id="flag-n-true"),
+        ],
+    )
+    def test_bool_and_float_are_refused(self, generate, args, kwargs):
+        # bool is an int subclass: True would be read as 1, False as 0
+        with pytest.raises(ValueError, match=r"got n=(True|3\.0|2\.0)$|^rank (True|False|1\.0) out of range"):
+            next(generate(*args, **kwargs))
 
     def test_basis_counts_match_the_gale_filter(self):
         # the census counts bits of the kernel's bitset; the oracle builds bases
