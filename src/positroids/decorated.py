@@ -28,6 +28,7 @@ from .cyclic import (
     full_mask,
     json_list,
     mask_of,
+    members_of,
 )
 
 LOOP = 1
@@ -175,16 +176,9 @@ class DecoratedPermutation:
 
     @cached_property
     def necklace(self) -> GrassmannNecklace:
-        """I_1 = W_1, then Postnikov's recurrence I_{i+1} = I_i - {i} + {perm(i)},
-        which leaves the entry unchanged at a loop (arXiv:math/0609764)."""
-        entry = set(self.anti_exceedances(1))
-        entries = [frozenset(entry)]
-        for i, (v, c) in enumerate(zip(self.perm[:-1], self.col), start=1):
-            if c != LOOP:
-                entry.discard(i)
-                entry.add(v)
-            entries.append(frozenset(entry))
-        return GrassmannNecklace(self.n, len(entry), tuple(entries))
+        """The entries of ``necklace_masks`` as sets."""
+        masks = necklace_masks(self.perm, self.col)
+        return GrassmannNecklace(self.n, masks[0].bit_count(), tuple(map(members_of, masks)))
 
     @cached_property
     def conecklace(self) -> GrassmannNecklace:
@@ -302,6 +296,26 @@ class DecoratedPermutation:
         return self.to_text()
 
 
+def necklace_masks(perm: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
+    """The Grassmann necklace of a valid decorated permutation, entry i as a
+    mask (element x at bit x - 1), in O(n) integer operations.
+
+    I_1 = W_1 holds the values of the anti-exceedances (perm(i) < i) and the
+    coloops; then Postnikov's recurrence I_{i+1} = I_i - {i} + {perm(i)},
+    which leaves the entry unchanged at a loop (arXiv:math/0609764).
+    """
+    entry = 0
+    for i, (v, c) in enumerate(zip(perm, col), start=1):
+        if v < i or c == COLOOP:
+            entry |= 1 << (v - 1)
+    masks = [entry]
+    for i, (v, c) in enumerate(zip(perm[:-1], col), start=1):
+        if c != LOOP:
+            entry = entry & ~(1 << (i - 1)) | 1 << (v - 1)
+        masks.append(entry)
+    return tuple(masks)
+
+
 def uniform_dp(k: int, n: int) -> DecoratedPermutation:
     """The k-step rotation i -> i+k, the decorated permutation of U_{k,n}.
 
@@ -309,8 +323,8 @@ def uniform_dp(k: int, n: int) -> DecoratedPermutation:
     coloop, which is what makes rank(uniform_dp(k, n)) == k for all k.
     """
     check_ground(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"rank {k} out of range 0..{n}")
+    if type(k) is not int or not 0 <= k <= n:
+        raise ValueError(f"rank {k!r} out of range 0..{n}")
     perm = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
     if k == 0:
         col = (LOOP,) * n

@@ -12,7 +12,9 @@ without building a matroid: ``basis_count`` is the popcount of the basis
 bitset that ``bases_from_necklace`` decodes.  Every all-ranks census but
 the decorated permutations runs rank by rank and yields as it goes, so
 the positroid census holds one object at a time.  The flag-pair sweep
-decides each candidate by the rank gap alone and fills no global cache.
+decides each candidate by the rank gap alone, from rank tables it builds
+as packed ints straight from necklace masks; it fills no global cache and
+caches nothing on the permutations it yields.
 """
 from __future__ import annotations
 
@@ -21,11 +23,10 @@ import operator
 from typing import Iterator, Optional
 
 from .cyclic import members_of
-from .decorated import COLOOP, LOOP, DecoratedPermutation
+from .decorated import COLOOP, LOOP, DecoratedPermutation, necklace_masks
 from .lpm import Lpm, lpm_bases
-from .matroids import _basis_bits, bases_from_necklace
+from .matroids import _basis_bits, necklace_rank_table, rank_increments
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
-from .quotients import _gap_is_monotone
 
 DEFAULT_MAX_N = 8
 FLAG_PAIR_MAX_N = 7
@@ -84,9 +85,10 @@ def _colours(dp: DecoratedPermutation) -> int:
     return sum(1 << j if c == LOOP else 1 << (n + j) for j, c in enumerate(dp.col) if c)
 
 
-def _unrotation_plans(n: int) -> list[tuple[int, operator.itemgetter]]:
-    """(A, unrotate) for every proper subset A of [n], as a mask, the empty
-    set included.
+def _unrotation_plans(n: int) -> list[tuple[int, frozenset[int], operator.itemgetter]]:
+    """(frozen, A, unrotate) for every proper subset A of [n], the empty set
+    included, where frozen masks the colours (``_colours``) of A's
+    positions.
 
     cyclic_shift(pi, A) moves each free value to the next free position on
     the circle, so it is undone by pi(j) = sigma(next free position after j)
@@ -99,7 +101,7 @@ def _unrotation_plans(n: int) -> list[tuple[int, operator.itemgetter]]:
         source = list(range(n))
         for j, nxt in zip(free, free[1:] + free[:1]):
             source[j] = nxt
-        plans.append((a, operator.itemgetter(*source)))
+        plans.append((a | a << n, members_of(a), operator.itemgetter(*source)))
     return plans
 
 
@@ -121,12 +123,20 @@ def elementary_flag_pairs(
     positions where sigma and pi agree (see ``exists_shift``), so a pi hit
     by a second A raises RuntimeError.
 
-    The packed rank-gap test, the verdict of ``is_quotient_rank`` without
-    its witness search, decides every candidate.  No containment filter
-    runs first: necklace containment holds for every candidate, and
-    conecklace containment, necessary but not sufficient (arXiv:2311.05340),
-    drops 1,367 of the 3,297 candidates on (2, 6), each of which the gap
-    rejects in about 2 us, at the price of a conecklace per sigma and pi.
+    The rank gap, the verdict of ``is_quotient_rank`` without its witness
+    search, decides every candidate.  Each sigma and pi gets one packed
+    rank table, built from ``necklace_masks`` by ``necklace_rank_table``
+    with no necklace object and no ``Matroid``, and turned into its
+    ``rank_increments``, so that each candidate costs one AND-NOT.  A pi's
+    increments are built at its first candidate and kept by the generator,
+    in a dict that dies with it; nothing is cached on sigma or pi.
+
+    No containment filter runs first: necklace containment holds for every
+    candidate, and conecklace containment, necessary but not sufficient
+    (arXiv:2311.05340), drops 1,367 of the 3,297 candidates on (2, 6),
+    each of which the rank test rejects with one AND-NOT, at the price of
+    a conecklace per sigma and pi.
+
     Output is sigma-major, each part in the lexicographic order of
     all_decorated_permutations, the order of the quadratic sweep over every
     pair that ``tests/support.quadratic_flag_pairs`` keeps as the oracle.
@@ -140,30 +150,35 @@ def elementary_flag_pairs(
     for p, pi in enumerate(pis):
         index.setdefault(same(pi.perm), []).append((p, _colours(pi)))
     plans = _unrotation_plans(n)
-    tables: dict[int, bytes] = {}  # position of pi -> its rank table, built at its first candidate
+
+    def increments(dp: DecoratedPermutation, rank: int) -> int:
+        return rank_increments(necklace_rank_table(n, rank, necklace_masks(dp.perm, dp.col)), n)
+
+    tables: dict[int, int] = {}  # position of pi -> its rank increments, built at its first candidate
     for sigma in all_decorated_permutations(n, max_n, rank=k - 1):
+        perm = sigma.perm
         colours = _colours(sigma)
-        coloops = colours >> n  # A must hold these
-        hits: dict[int, int] = {}  # position of pi -> the A that un-rotates sigma to it
-        for a, unrotate in plans:
-            if a & coloops != coloops:
+        coloops = colours >> n << n  # A must hold these
+        hits: dict[int, frozenset[int]] = {}  # position of pi -> the A that un-rotates sigma to it
+        for frozen, shift_set, unrotate in plans:
+            if coloops & ~frozen:
                 continue
-            for p, pi_colours in index.get(unrotate(sigma.perm), ()):
-                if (pi_colours ^ colours) & (a | a << n) == 0:
+            for p, pi_colours in index.get(unrotate(perm), ()):
+                if (pi_colours ^ colours) & frozen == 0:
                     if p in hits:
                         raise RuntimeError(
-                            f"shift sets {sorted(members_of(hits[p]))} and {sorted(members_of(a))} "
+                            f"shift sets {sorted(hits[p])} and {sorted(shift_set)} "
                             f"both un-rotate {sigma.to_text()} to {pis[p].to_text()}"
                         )
-                    hits[p] = a
+                    hits[p] = shift_set
         if not hits:
             continue
-        low = bases_from_necklace(sigma.necklace).rank_table
+        low = increments(sigma, k - 1)
         for p in sorted(hits):
             if p not in tables:
-                tables[p] = bases_from_necklace(pis[p].necklace).rank_table
-            if _gap_is_monotone(low, tables[p], n):
-                yield sigma, pis[p], members_of(hits[p])
+                tables[p] = increments(pis[p], k)
+            if low & ~tables[p] == 0:
+                yield sigma, pis[p], hits[p]
 
 
 # census kind -> (default bound on n, lowest rank, the noun its bound refusal names)
@@ -201,12 +216,13 @@ def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Itera
         if what == "positroids":
             for dp in all_decorated_permutations(n, max_n, rank=rank):
                 # the bases are counted, not built, and positroid_of's cache is bypassed
+                necklace = dp.necklace
                 yield {
                     "n": n,
                     "k": rank,
                     "dp": dp.to_text(),
-                    "necklace": dp.necklace.to_json()["entries"],
-                    "basis_count": _basis_bits(dp.necklace)[1].bit_count(),
+                    "necklace": necklace.to_json()["entries"],
+                    "basis_count": _basis_bits(n, rank, necklace.masks)[2].bit_count(),
                 }
         elif what == "lpms":
             for p in all_lpms(rank, n, max_n):

@@ -5,17 +5,20 @@ function, circuits, duality, loops and coloops) from it.  Three routes are
 bitmask kernels.  ``bases_from_necklace`` applies each rank cap on a cyclic
 interval to all k-subsets at once, as one AND with a bitset from the packed
 cap table of (n, k), cached for n <= 10 and built row by row above; the
-positroid census counts the surviving bits without building a matroid.  Input off the necklace axioms gets the caps all the
-same: [[1], [3], [1]] gives the one basis {1}.  ``Matroid.rank_table`` packs
-the ranks of all subsets one byte each and computes every field at once
-with big-int operations, over ``byte_table_masks`` and ``subset_max``,
-which the quotient check shares.  The necklace and conecklace come from
-``cyclic.gale_extrema`` over the basis masks, which alone decide
-``is_positroid``.  The direct routes they replace (the Gale-order filter,
-max over bases, the sorted-tuple Gale extremum, the exchange axiom ahead of
-the closure) are oracles in ``tests/support.py``.  Circuits and
-``is_valid``, kept for outside input, are direct search over subsets, exact
-at desk scale.
+positroid census counts the surviving bits without building a matroid.
+Input off the necklace axioms gets the caps all the same: [[1], [3], [1]]
+gives the one basis {1}.  Rank tables are packed ints, one byte field per
+subset, every field computed at once with big-int operations over
+``byte_table_masks`` and ``subset_max``, which the quotient check shares:
+``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and
+``necklace_rank_table`` builds the same int straight from necklace masks,
+with no basis set and no ``Matroid``, for the flag-pair sweep.  The
+necklace and conecklace come from ``cyclic.gale_extrema`` over the basis
+masks, which alone decide ``is_positroid``.  The direct routes they replace
+(the Gale-order filter, max over bases, the sorted-tuple Gale extremum, the
+exchange axiom ahead of the closure) are oracles in ``tests/support.py``.
+Circuits and ``is_valid``, kept for outside input, are direct search over
+subsets, exact at desk scale.
 """
 from __future__ import annotations
 
@@ -94,26 +97,11 @@ class Matroid:
 
     @cached_property
     def rank_table(self) -> bytes:
-        """rank_of every subset, one byte per subset, indexed by bitmask.
-        Exponential; desk scale only.
-
-        The table is built as one integer with a byte field per subset, in
-        three passes of big-int operations over all 2^n fields at once:
-        close the basis indicator downward, one shift-and-OR per element,
-        to mark the independent sets; multiply by 0xFF and keep the
-        popcount table, so an independent S holds |S| and the rest 0; then
-        take rk(S) = max over subsets, one guarded-subtraction select per
-        element.  Ranks stay at most 16, below the guard bit 0x80.
-        """
+        """rank_of every subset, one byte per subset, indexed by bitmask
+        (``packed_rank_table`` as bytes).  Exponential; desk scale only."""
         if self.n > 16:
             raise ValueError("rank table supported only for n <= 16")
-        _, sizes, covers = byte_table_masks(self.n)
-        packed = 0
-        for b in self.basis_masks:
-            packed |= 1 << 8 * b
-        for shift, values, g in covers:
-            packed |= (packed & (values | g)) >> shift
-        return subset_max(packed * 0xFF & sizes, self.n).to_bytes(1 << self.n, "little")
+        return packed_rank_table(self.n, self.basis_masks).to_bytes(1 << self.n, "little")
 
     def rank_of(self, subset: Iterable[int]) -> int:
         """rk(S) = max over bases of |S intersect B|."""
@@ -234,14 +222,56 @@ def subset_max(packed: int, n: int) -> int:
     return packed
 
 
+def packed_rank_table(n: int, basis_masks: Iterable[int]) -> int:
+    """The rank of every subset of [n] as one int, field S at bits 8S..8S+7,
+    for the matroid with the given basis masks.
+
+    Three passes of big-int operations over all 2^n fields at once: close
+    the basis indicator downward, one shift-and-OR per element, to mark the
+    independent sets; multiply by 0xFF and keep the popcount table, so an
+    independent S holds |S| and the rest 0; then take rk(S) = max over
+    subsets (``subset_max``).  Ranks stay at most 16, below the guard bit
+    0x80.
+    """
+    _, sizes, covers = byte_table_masks(n)
+    indicator = bytearray(1 << n)
+    for b in basis_masks:
+        indicator[b] = 1
+    packed = int.from_bytes(indicator, "little")
+    for shift, values, g in covers:
+        packed |= (packed & (values | g)) >> shift
+    return subset_max(packed * 0xFF & sizes, n)
+
+
+def rank_increments(packed: int, n: int) -> int:
+    """Where each element raises the rank, from a ``packed_rank_table``:
+    bit x % 8 of field S, in block x // 8 of 2^n fields, is set exactly
+    when x is not in S and rk(S + x) = rk(S) + 1.
+
+    Ranks rise by 0 or 1 along a covering pair, so rn - rm never decreases
+    (the verdict of ``quotients._gap_is_monotone``) exactly when the
+    increments of rm lie inside those of rn: one AND-NOT per pair, for a
+    table compared with many.  Per element, one guarded subtraction takes
+    rk(S + x) - rk(S) in every field S without x at once.
+    """
+    guards, _, covers = byte_table_masks(n)
+    block = 8 << n
+    out = 0
+    for x, (shift, values, _) in enumerate(covers):
+        rises = (((packed >> shift) | guards) - packed) & (values >> shift)
+        out |= rises << (x % 8 + block * (x // 8))
+    return out
+
+
 # cap tables are cached for ground sets up to this size, where every
 # table together takes 1.4 MB; larger ones are built row by row per call
 CACHED_N = 10
 
 
-def _subsets(n: int, k: int) -> tuple[tuple[frozenset[int], ...], list[int]]:
-    """The k-subsets of [n] in lexicographic order, and for each element x
-    the bitset of those that hold x (bit c for the c-th subset)."""
+def _subsets(n: int, k: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], list[int]]:
+    """The k-subsets of [n] in lexicographic order, their masks, and for
+    each element x the bitset of those that hold x (bit c for the c-th
+    subset)."""
     subsets = tuple(map(frozenset, itertools.combinations(range(1, n + 1), k)))
     # digits[x - 1]: the binary digits of has[x], highest bit first, marked
     # from the members of each subset or, for k > n / 2, its fewer non-members
@@ -252,7 +282,7 @@ def _subsets(n: int, k: int) -> tuple[tuple[frozenset[int], ...], list[int]]:
     for c, b in enumerate(reversed(subsets)):
         for x in b if members else ground - b:
             digits[x - 1][c] = mark
-    return subsets, [int(d, 2) for d in digits]
+    return subsets, tuple(map(bits_of, subsets)), [int(d, 2) for d in digits]
 
 
 def _arc_caps(has: list[int], s: int, k: int, count: int) -> tuple:
@@ -275,19 +305,19 @@ def _arc_caps(has: list[int], s: int, k: int, count: int) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _cap_table(n: int, k: int) -> tuple[tuple[frozenset[int], ...], tuple]:
-    """The k-subsets of [n] (``_subsets``), shared by every basis family
-    built from them, and ``rows[s]``, the caps on the arcs from bit s
-    (``_arc_caps``): n*n*k big-int operations.
+def _cap_table(n: int, k: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], tuple]:
+    """The k-subsets of [n] and their masks (``_subsets``), shared by every
+    basis family built from them, and ``rows[s]``, the caps on the arcs
+    from bit s (``_arc_caps``): n*n*k big-int operations.
 
     Only ``_basis_bits`` calls it, and only for n <= ``CACHED_N``.  Build
     time and footprint, Python 3.11: 0.1 ms and 9 KB at (6, 3), 0.2 ms and
-    26 KB at (8, 4), 0.5 ms and 0.21 MB at (10, 5), mostly the subsets
+    26 KB at (8, 4), 0.5 ms and 0.22 MB at (10, 5), mostly the subsets
     themselves.  The 32 tables the cache holds cover every rank of every n
     from 6 to 8 at once (24 keys, 0.3 MB together), and every table with
     n <= 10 together is 1.4 MB, which bounds the cache.
     """
-    subsets, has = _subsets(n, k)
+    subsets, subset_masks, has = _subsets(n, k)
     # equal bitsets are stored once: on arcs longer than n - k + t every
     # subset has more than t members, which matters for k close to n
     shared: dict[int, int] = {}
@@ -295,15 +325,16 @@ def _cap_table(n: int, k: int) -> tuple[tuple[frozenset[int], ...], tuple]:
         tuple(tuple(map(shared.setdefault, caps, caps)) for caps in _arc_caps(has, s, k, len(subsets)))
         for s in range(n)
     )
-    return subsets, rows
+    return subsets, subset_masks, rows
 
 
-def _basis_bits(necklace: GrassmannNecklace) -> tuple[tuple[frozenset[int], ...], int]:
-    """The k-subsets of [n] in lexicographic order, and the bases of the
-    positroid of a necklace as a bitset over them: every subset, less
-    those over some cap.  The caps come from the cached ``_cap_table`` for
-    n <= ``CACHED_N``; above it, each row is built for the entry that
-    needs one and dropped, so the memory held is one row, not n of them.
+def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], int]:
+    """The k-subsets of [n] in lexicographic order, their masks, and the
+    bases of the positroid of the rank-k necklace with the given entry
+    masks as a bitset over them: every subset, less those over some cap.
+    The caps come from the cached ``_cap_table`` for n <= ``CACHED_N``;
+    above it, each row is built for the entry that needs one and dropped,
+    so the memory held is one row, not n of them.
 
     I_i <=_i B says that, for each t from 0, the t-th member of B under <_i
     comes no earlier than the t-th member x of I_i: |B & P| <= t for the
@@ -311,16 +342,15 @@ def _basis_bits(necklace: GrassmannNecklace) -> tuple[tuple[frozenset[int], ...]
     nothing and is skipped.  The prefixes kept are nonempty proper cyclic
     intervals, one per start and length, so no cap repeats.
     """
-    n, k = necklace.n, necklace.k
     if n <= CACHED_N:
-        subsets, rows = _cap_table(n, k)
+        subsets, subset_masks, rows = _cap_table(n, k)
         row_of = rows.__getitem__
     else:
-        subsets, has = _subsets(n, k)
+        subsets, subset_masks, has = _subsets(n, k)
         row_of = partial(_arc_caps, has, k=k, count=len(subsets))
     alive = (1 << len(subsets)) - 1
     full = full_mask(n)
-    for i, entry in enumerate(necklace.masks):
+    for i, entry in enumerate(masks):
         # bit j of rot: the element at position j of <_i
         rot = (entry >> i | entry << (n - i)) & full
         row = None
@@ -336,7 +366,15 @@ def _basis_bits(necklace: GrassmannNecklace) -> tuple[tuple[frozenset[int], ...]
             t += 1
     if not alive:
         raise ValueError("no subset dominates every necklace entry; invalid necklace")
-    return subsets, alive
+    return subsets, subset_masks, alive
+
+
+def necklace_rank_table(n: int, k: int, masks: Iterable[int]) -> int:
+    """``packed_rank_table`` of the positroid of the rank-k necklace with
+    the given entry masks, straight from the basis bitset of
+    ``_basis_bits``: no basis set and no ``Matroid`` is built."""
+    _, subset_masks, alive = _basis_bits(n, k, masks)
+    return packed_rank_table(n, (m for m, bit in zip(subset_masks, bin(alive)[:1:-1]) if bit == "1"))
 
 
 def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
@@ -353,7 +391,7 @@ def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
     [[1], [3], [1]] gives the one basis {1}.  Outside input is checked by
     ``DecoratedPermutation.from_necklace``, which names the violation.
     """
-    subsets, alive = _basis_bits(necklace)
+    subsets, _, alive = _basis_bits(necklace.n, necklace.k, necklace.masks)
     return Matroid(necklace.n, [b for b, bit in zip(subsets, bin(alive)[:1:-1]) if bit == "1"])
 
 
@@ -363,10 +401,10 @@ def positroid_of(dp: DecoratedPermutation) -> Matroid:
     return bases_from_necklace(dp.necklace)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=CACHE_SIZE, typed=True)  # typed: True and 1.0 are refused, not read as 1
 def uniform_matroid(k: int, n: int) -> Matroid:
     """U_{k,n}: every k-subset of [n] is a basis."""
     check_ground(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"rank {k} out of range 0..{n}")
+    if type(k) is not int or not 0 <= k <= n:
+        raise ValueError(f"rank {k!r} out of range 0..{n}")
     return Matroid(n, itertools.combinations(range(1, n + 1), k))

@@ -10,7 +10,8 @@ from positroids import (
     shift_interval,
     uniform_dp,
 )
-from positroids.cyclic import full_mask, mask_of
+from positroids.cyclic import bits_of, full_mask, mask_of
+from positroids.decorated import necklace_masks
 from positroids.matroids import positroid_of, uniform_matroid
 
 DP_15234 = DecoratedPermutation.from_text("1c 5 2 3 4")
@@ -85,10 +86,13 @@ class TestNecklaces:
                 assert dp.necklace.satisfies_axioms()
 
     def test_recurrence_matches_anti_exceedances(self, dps):
-        # exhaustive for n <= 7: the recurrence entry by entry, and the O(n) rank
+        # exhaustive for n <= 7: the mask kernel and the necklace built from
+        # it entry by entry, and the O(n) rank
         for n in range(1, 8):
             for dp in dps(n):
-                assert dp.necklace.entries == tuple(dp.anti_exceedances(i) for i in range(1, n + 1)), dp
+                expected = tuple(dp.anti_exceedances(i) for i in range(1, n + 1))
+                assert necklace_masks(dp.perm, dp.col) == tuple(map(bits_of, expected)), dp
+                assert dp.necklace.entries == expected, dp
                 assert dp.rank == len(dp.anti_exceedances(1)), dp
 
     def test_from_necklace_round_trip(self):
@@ -217,6 +221,15 @@ class TestUniform:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             uniform_dp(5, 4)
+
+    @pytest.mark.parametrize("make", [uniform_dp, uniform_matroid])
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_bool_and_float_k_are_refused(self, make, k):
+        # also after the int 1 has been seen, which a cache keyed by value
+        # would hand back for True and 1.0
+        make(1, 4)
+        with pytest.raises(ValueError, match=rf"^rank {k!r} out of range 0\.\.4$"):
+            make(k, 4)
 
 
 class TestCyclicShift:

@@ -139,13 +139,15 @@ class TestFlagPairs:
                 assert {(p.dual(), s.dual()) for s, p in pairs[k]} == pairs[n + 1 - k], (n, k)
 
     def test_sweep_fills_no_global_cache(self):
-        # rank tables are the sweep's own, and no conecklace is built
+        # rank tables are the sweep's own, built from necklace masks, and
+        # nothing is cached on the permutations it yields
         positroid_of.cache_clear()
         triples = list(elementary_flag_pairs(3, 6))
         assert triples
         assert positroid_of.cache_info().currsize == 0
         for sigma, pi, _ in triples:
-            assert "conecklace" not in vars(sigma) and "conecklace" not in vars(pi)
+            for dp in (sigma, pi):
+                assert "necklace" not in vars(dp) and "conecklace" not in vars(dp), dp
 
     def test_second_shift_set_for_one_pi_raises(self, monkeypatch):
         # mutation: every plan runs twice, so each candidate is hit twice

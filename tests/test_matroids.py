@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import support
 from positroids import matroids
 from positroids.cyclic import mask_of
+from positroids.decorated import necklace_masks
 from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
@@ -196,6 +197,37 @@ class TestKernelsAgainstOracles:
             for dp in dps(n):
                 assert bases_from_necklace(dp.necklace) == support.gale_filter_bases(dp.necklace), dp
 
+    @staticmethod
+    def _check_sweep_rank_table(dp):
+        # the packed table the flag sweep builds from necklace masks alone
+        table = matroids.necklace_rank_table(dp.n, dp.rank, necklace_masks(dp.perm, dp.col))
+        assert table == int.from_bytes(positroid_of(dp).rank_table, "little"), dp
+
+    def test_sweep_rank_tables_exhaustive_up_to_six(self, dps):
+        for n in range(1, 7):
+            for dp in dps(n):
+                self._check_sweep_rank_table(dp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(support.decorated_permutations(max_n=9))
+    def test_sweep_rank_tables_sampled_up_to_nine(self, dp):
+        self._check_sweep_rank_table(dp)
+
+    @settings(max_examples=40, deadline=None)
+    @given(support.decorated_permutations(max_n=10))
+    def test_rank_increments_match_the_table(self, dp):
+        # bit x % 8 of field S in block x // 8: elements 9 and 10 take a
+        # second block
+        n = dp.n
+        table = positroid_of(dp).rank_table
+        block = 8 << n
+        expected = 0
+        for s in range(1 << n):
+            for x in range(n):
+                if not s >> x & 1 and table[s | 1 << x] > table[s]:
+                    expected |= 1 << (8 * s + x % 8 + block * (x // 8))
+        assert matroids.rank_increments(int.from_bytes(table, "little"), n) == expected
+
     def test_rank_tables_on_matroid_census(self, matroid_census):
         for n in range(1, 7):
             for m in matroid_census(n):
@@ -314,10 +346,10 @@ class TestKernelsAgainstOracles:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for necklace in big:
-                matroids._basis_bits(necklace)
+                matroids._basis_bits(necklace.n, necklace.k, necklace.masks)
             assert matroids._cap_table.cache_info().currsize == 0
             for necklace in small:
-                matroids._basis_bits(necklace)
+                matroids._basis_bits(necklace.n, necklace.k, necklace.masks)
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
