@@ -25,8 +25,9 @@ from typing import Iterator, Optional
 from .cyclic import members_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation, necklace_masks
 from .lpm import Lpm, lpm_bases
-from .matroids import _basis_bits, necklace_rank_table, rank_increments
+from .matroids import _basis_bits, necklace_rank_table
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
+from .quotients import _gap_is_monotone
 
 DEFAULT_MAX_N = 8
 FLAG_PAIR_MAX_N = 7
@@ -124,18 +125,18 @@ def elementary_flag_pairs(
     by a second A raises RuntimeError.
 
     The rank gap, the verdict of ``is_quotient_rank`` without its witness
-    search, decides every candidate.  Each sigma and pi gets one packed
-    rank table, built from ``necklace_masks`` by ``necklace_rank_table``
-    with no necklace object and no ``Matroid``, and turned into its
-    ``rank_increments``, so that each candidate costs one AND-NOT.  A pi's
-    increments are built at its first candidate and kept by the generator,
-    in a dict that dies with it; nothing is cached on sigma or pi.
+    search, decides every candidate.  Each sigma and pi gets one rank
+    table, a packed int built from ``necklace_masks`` by
+    ``necklace_rank_table`` with no necklace object and no ``Matroid``, and
+    ``_gap_is_monotone`` compares the two.  A pi's table is built at its
+    first candidate and kept by the generator, in a dict that dies with it;
+    nothing is cached on sigma or pi.
 
     No containment filter runs first: necklace containment holds for every
     candidate, and conecklace containment, necessary but not sufficient
     (arXiv:2311.05340), drops 1,367 of the 3,297 candidates on (2, 6),
-    each of which the rank test rejects with one AND-NOT, at the price of
-    a conecklace per sigma and pi.
+    each of which the gap rejects in about 2 us, at the price of a
+    conecklace per sigma and pi.
 
     Output is sigma-major, each part in the lexicographic order of
     all_decorated_permutations, the order of the quadratic sweep over every
@@ -151,10 +152,10 @@ def elementary_flag_pairs(
         index.setdefault(same(pi.perm), []).append((p, _colours(pi)))
     plans = _unrotation_plans(n)
 
-    def increments(dp: DecoratedPermutation, rank: int) -> int:
-        return rank_increments(necklace_rank_table(n, rank, necklace_masks(dp.perm, dp.col)), n)
+    def table(dp: DecoratedPermutation, rank: int) -> int:
+        return necklace_rank_table(n, rank, necklace_masks(dp.perm, dp.col))
 
-    tables: dict[int, int] = {}  # position of pi -> its rank increments, built at its first candidate
+    tables: dict[int, int] = {}  # position of pi -> its packed rank table, built at its first candidate
     for sigma in all_decorated_permutations(n, max_n, rank=k - 1):
         perm = sigma.perm
         colours = _colours(sigma)
@@ -173,11 +174,11 @@ def elementary_flag_pairs(
                     hits[p] = shift_set
         if not hits:
             continue
-        low = increments(sigma, k - 1)
+        low = table(sigma, k - 1)
         for p in sorted(hits):
             if p not in tables:
-                tables[p] = increments(pis[p], k)
-            if low & ~tables[p] == 0:
+                tables[p] = table(pis[p], k)
+            if _gap_is_monotone(low, tables[p], n):
                 yield sigma, pis[p], hits[p]
 
 
@@ -216,13 +217,12 @@ def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Itera
         if what == "positroids":
             for dp in all_decorated_permutations(n, max_n, rank=rank):
                 # the bases are counted, not built, and positroid_of's cache is bypassed
-                necklace = dp.necklace
                 yield {
                     "n": n,
                     "k": rank,
                     "dp": dp.to_text(),
-                    "necklace": necklace.to_json()["entries"],
-                    "basis_count": _basis_bits(n, rank, necklace.masks)[2].bit_count(),
+                    "necklace": dp.necklace.to_json()["entries"],
+                    "basis_count": _basis_bits(n, rank, necklace_masks(dp.perm, dp.col))[2].bit_count(),
                 }
         elif what == "lpms":
             for p in all_lpms(rank, n, max_n):

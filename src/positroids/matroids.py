@@ -243,26 +243,6 @@ def packed_rank_table(n: int, basis_masks: Iterable[int]) -> int:
     return subset_max(packed * 0xFF & sizes, n)
 
 
-def rank_increments(packed: int, n: int) -> int:
-    """Where each element raises the rank, from a ``packed_rank_table``:
-    bit x % 8 of field S, in block x // 8 of 2^n fields, is set exactly
-    when x is not in S and rk(S + x) = rk(S) + 1.
-
-    Ranks rise by 0 or 1 along a covering pair, so rn - rm never decreases
-    (the verdict of ``quotients._gap_is_monotone``) exactly when the
-    increments of rm lie inside those of rn: one AND-NOT per pair, for a
-    table compared with many.  Per element, one guarded subtraction takes
-    rk(S + x) - rk(S) in every field S without x at once.
-    """
-    guards, _, covers = byte_table_masks(n)
-    block = 8 << n
-    out = 0
-    for x, (shift, values, _) in enumerate(covers):
-        rises = (((packed >> shift) | guards) - packed) & (values >> shift)
-        out |= rises << (x % 8 + block * (x // 8))
-    return out
-
-
 # cap tables are cached for ground sets up to this size, where every
 # table together takes 1.4 MB; larger ones are built row by row per call
 CACHED_N = 10

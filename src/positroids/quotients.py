@@ -54,9 +54,6 @@ def _gap_is_monotone(rm: int, rn: int, n: int) -> bool:
     is 0.  Then, for each x, one subtraction compares every field S
     containing x with field S - x: the guard bit above field S survives
     exactly when gap(S - x) <= gap(S), and no borrow crosses a field.
-    Early exits make this the cheaper test for a one-off pair; the flag
-    sweep, which meets each table many times, takes the same verdict as
-    one AND-NOT of ``matroids.rank_increments``.
     """
     guards, _, covers = byte_table_masks(n)
     gap = (rn | guards) - rm

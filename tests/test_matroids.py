@@ -213,21 +213,6 @@ class TestKernelsAgainstOracles:
     def test_sweep_rank_tables_sampled_up_to_nine(self, dp):
         self._check_sweep_rank_table(dp)
 
-    @settings(max_examples=40, deadline=None)
-    @given(support.decorated_permutations(max_n=10))
-    def test_rank_increments_match_the_table(self, dp):
-        # bit x % 8 of field S in block x // 8: elements 9 and 10 take a
-        # second block
-        n = dp.n
-        table = positroid_of(dp).rank_table
-        block = 8 << n
-        expected = 0
-        for s in range(1 << n):
-            for x in range(n):
-                if not s >> x & 1 and table[s | 1 << x] > table[s]:
-                    expected |= 1 << (8 * s + x % 8 + block * (x // 8))
-        assert matroids.rank_increments(int.from_bytes(table, "little"), n) == expected
-
     def test_rank_tables_on_matroid_census(self, matroid_census):
         for n in range(1, 7):
             for m in matroid_census(n):

@@ -24,7 +24,6 @@ from positroids import (
 )
 from positroids.cyclic import members_of
 from positroids.lpm import Lpm
-from positroids.matroids import rank_increments
 
 DP_P = DecoratedPermutation.from_text("1o 5 4 6 2 3")
 DP_Q = DecoratedPermutation.from_text("6 2o 3o 4o 5o 1")
@@ -81,24 +80,16 @@ class TestCircuitOracle:
         assert verdict.witness["type"] == "circuit"
 
 
-def _increments_verdict(m: Matroid, other: Matroid) -> bool:
-    """The flag sweep's test: the rank increments of m inside those of other."""
-    rm, rn = (int.from_bytes(x.rank_table, "little") for x in (m, other))
-    return rank_increments(rm, m.n) & ~rank_increments(rn, m.n) == 0
-
-
 class TestOracleAgreementSmall:
     def test_all_matroid_pairs_tiny(self, matroid_census):
         # every labeled matroid pair, not only positroids; the rank kernel
-        # also matches the nested-pairs scan in verdict and witness, and the
-        # sweep's rank increments give the same verdict
+        # also matches the nested-pairs scan in verdict and witness
         for n in range(1, 5):
             census = matroid_census(n)
             for m in census:
                 for other in census:
                     verdict = is_quotient_rank(m, other)
                     assert verdict.is_quotient == is_quotient_circuits(m, other).is_quotient
-                    assert verdict.is_quotient == _increments_verdict(m, other)
                     expected = support.nested_pairs_quotient(m, other)
                     if expected is None:
                         assert verdict.is_quotient and verdict.witness is None
