@@ -8,15 +8,15 @@ with the whole-circle value pinned to n - rank, reads off positroid ranks
 of cyclic intervals exactly and upper-bounds the rank everywhere else.
 The CCW count, which only the tests read, is the oracle
 ``tests/support.ccw_function``; the CCW covering check in ``quotients``
-reads the arrow masks directly.
+reads the arrow masks, which ``_cw_masks``/``_ccw_masks`` compute from
+(perm, col) in closed form (``cyclic.arc_mask``), with no arrow objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
-from .cyclic import CACHE_SIZE, CyclicInterval, full_mask, mask_of
+from .cyclic import CyclicInterval, arc_mask, full_mask, mask_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
 
@@ -26,9 +26,6 @@ class ArrowSet:
     """The n arrows of a decorated permutation; position i's is arrows[i - 1]."""
 
     arrows: tuple[CyclicInterval, ...]
-
-    def masks(self) -> tuple[int, ...]:
-        return tuple(a.mask for a in self.arrows)
 
     def to_json(self) -> list[dict]:
         return [a.to_json() for a in self.arrows]
@@ -52,14 +49,14 @@ def ccw_arrows(dp: DecoratedPermutation) -> ArrowSet:
     return ArrowSet(arrows)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _cw_masks(dp: DecoratedPermutation) -> tuple[int, ...]:
-    return cw_arrows(dp).masks()
+    n, full = dp.n, full_mask(dp.n)
+    return tuple(full if c == COLOOP else arc_mask(n, i, v) for i, (v, c) in enumerate(zip(dp.perm, dp.col), 1))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _ccw_masks(dp: DecoratedPermutation) -> tuple[int, ...]:
-    return ccw_arrows(dp).masks()
+    n, full = dp.n, full_mask(dp.n)
+    return tuple(full if c == LOOP else arc_mask(n, v, i) for i, (v, c) in enumerate(zip(dp.perm, dp.col), 1))
 
 
 def _cw_count(dp: DecoratedPermutation, mask: int) -> int:

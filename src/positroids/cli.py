@@ -125,7 +125,7 @@ def _cmd_convert(args) -> int:
         print(json.dumps(positroid_of(dp).to_json()))
     else:
         candidate = Lpm(dp.n, dp.necklace.entries[0], dp.conecklace.entries[0])
-        if lpm_bases(candidate).bases != positroid_of(dp).bases:
+        if lpm_bases(candidate) != positroid_of(dp):
             raise ValueError("positroid is not a lattice path matroid")
         print(json.dumps(candidate.to_json()))
     return 0

@@ -4,15 +4,16 @@ Conventions used throughout the package:
 
 * the ground set [n] is {1, 2, ..., n} with 1-indexed elements;
 * subsets are plain frozensets at the API surface, while bitmasks
-  (bit i-1 represents element i) are the internal currency of the
-  exhaustive sweeps; n is bounded by the machine word (n <= 64);
+  (bit i-1 represents element i) are the internal currency of the kernels
+  and of ``Matroid``; n is bounded by the machine word (n <= 64);
 * ``<_i`` denotes the rotated total order i < i+1 < ... < n < 1 < ... < i-1;
 * the half-open cyclic interval (i, i] is empty.
 
 Gale extrema are bitmask kernels too: ``gale_extrema`` reads the minimum
-(maximum) under <_i off the prefix (suffix) counts of the whole family at
-once, and ``gale_min``/``gale_max`` wrap it for one i.  The sorted-tuple
-search it replaces is kept as an oracle in ``tests/support.py``.
+(maximum) under <_i off the prefix (suffix) counts of a family of masks at
+once and returns masks, and ``gale_min``/``gale_max`` decode its one answer
+for one i.  The sorted-tuple search it replaces is kept as an oracle in
+``tests/support.py``.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 MAX_GROUND = 64
-# maxsize of every bounded global cache (LPM bases, uniform matroids, arrows)
+# maxsize of every bounded global cache (positroids, LPM bases, uniform matroids)
 CACHE_SIZE = 4096
 
 EMPTY = "empty"
@@ -93,6 +94,13 @@ def bits_of(members: Iterable[int]) -> int:
     return m
 
 
+def arc_mask(n: int, a: int, b: int) -> int:
+    """Bitmask of the arc {a, a+1, ..., b} of [n], wrapping past n."""
+    if a <= b:
+        return (1 << b) - (1 << (a - 1))
+    return full_mask(n) ^ ((1 << (a - 1)) - (1 << b))
+
+
 def members_of(mask: int) -> frozenset[int]:
     out = set()
     while mask:
@@ -125,11 +133,9 @@ def gale_leq(i: int, a: Iterable[int], b: Iterable[int], n: int) -> bool:
     return all(pa <= pb for pa, pb in zip(ka, kb))
 
 
-def gale_extrema(
-    family: Sequence[frozenset[int]], masks: Sequence[int], n: int, starts: Iterable[int], maximum: bool
-) -> tuple[frozenset[int], ...]:
-    """The <=_i-minimum (maximum) of a nonempty family for each i in starts,
-    as the family's own objects; masks are the members' checked bitmasks.
+def gale_extrema(masks: Sequence[int], n: int, starts: Iterable[int], maximum: bool) -> tuple[int, ...]:
+    """The masks of the <=_i-minimum (maximum) of a nonempty family of
+    subsets of [n], given by their masks, for each i in starts.
 
     Let f(P) be the largest |B & P| over the family at each prefix P of <_i
     (of its reverse, for a maximum).  Among equal-size sets M <=_i B exactly
@@ -149,7 +155,7 @@ def gale_extrema(
     guards = ones << (8 * width - 1)
     packed = int.from_bytes(b"".join(b.to_bytes(width, "little") for b in masks), "little")
     columns = [(packed >> x) & ones for x in range(n)]
-    member = dict(zip(reversed(masks), reversed(family)))
+    members = set(masks)
     step = -1 if maximum else 1
     out = []
     for i in starts:
@@ -163,27 +169,26 @@ def gale_extrema(
                 target += ones
                 found += 1
             x += step
-        if extremum not in member:
+        if extremum not in members:
             word = "maximum" if maximum else "minimum"
             raise ValueError(f"family has no Gale {word} under <_{i}; not a matroid basis family")
-        out.append(member[extremum])
+        out.append(extremum)
     return tuple(out)
 
 
 def _extremum_of(i: int, family: Iterable[Iterable[int]], n: int, maximum: bool) -> frozenset[int]:
     check_ground(n)
     check_element(i, n)
-    fam = [frozenset(s) for s in family]
-    if not fam:
+    masks = [mask_of(s, n) for s in family]
+    if not masks:
         raise ValueError(f"Gale {'maximum' if maximum else 'minimum'} of an empty family")
-    check_members(fam, n)
-    return gale_extrema(fam, tuple(map(bits_of, fam)), n, (i,), maximum)[0]
+    return members_of(gale_extrema(masks, n, (i,), maximum)[0])
 
 
 def gale_min(i: int, family: Iterable[Iterable[int]], n: int) -> frozenset[int]:
-    """The unique <=_i-minimum of a family of equal-size subsets of [n], by
-    ``gale_extrema``.  A family with no minimum (which a matroid basis
-    family can never be) raises ValueError.
+    """The unique <=_i-minimum of a family of equal-size subsets of [n],
+    decoded from ``gale_extrema``.  A family with no minimum (which a
+    matroid basis family can never be) raises ValueError.
     """
     return _extremum_of(i, family, n, maximum=False)
 
@@ -252,14 +257,7 @@ class CyclicInterval:
             return 0
         if self.kind == FULL:
             return full_mask(self.n)
-        m = 0
-        x = self.start
-        while True:
-            m |= 1 << (x - 1)
-            if x == self.end:
-                break
-            x = x % self.n + 1
-        return m
+        return arc_mask(self.n, self.start, self.end)
 
     def members(self) -> frozenset[int]:
         """Explicit member set; arcs may wrap past n.

@@ -51,6 +51,8 @@ class GrassmannNecklace:
     entries: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise ValueError(f"k {self.k!r} is not an integer")
         check_ground(self.n)
         if not 0 <= self.k <= self.n:
             raise ValueError(f"rank {self.k} out of range for n={self.n}")
@@ -102,10 +104,7 @@ class GrassmannNecklace:
     @classmethod
     def from_json(cls, obj: dict) -> "GrassmannNecklace":
         entries = [distinct_members(e, "entry") for e in json_list(obj["entries"], "entries")]
-        k = obj["k"]
-        if type(k) is not int:
-            raise ValueError(f"k {k!r} is not an integer")
-        return cls(len(entries), k, tuple(entries))
+        return cls(len(entries), obj["k"], tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ may raise them explicitly, which the CLI does only with a loud warning.
 ``census_records`` turns any of them into plain JSON dicts for the CLI's
 ``enumerate``; ``CENSUS_KINDS`` is the one table of its kinds, their
 default bounds and their lowest ranks.  The positroid census counts bases
-without building a matroid: ``basis_count`` is the popcount of the basis
-bitset that ``bases_from_necklace`` decodes.  Every all-ranks census but
+without building a matroid: ``basis_count`` is the number of basis masks
+that ``bases_from_necklace`` would store.  Every all-ranks census but
 the decorated permutations runs rank by rank and yields as it goes, so
 the positroid census holds one object at a time.  The flag-pair sweep
 decides each candidate by the rank gap alone, from rank tables it builds
@@ -222,7 +222,7 @@ def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Itera
                     "k": rank,
                     "dp": dp.to_text(),
                     "necklace": dp.necklace.to_json()["entries"],
-                    "basis_count": _basis_bits(n, rank, necklace_masks(dp.perm, dp.col))[2].bit_count(),
+                    "basis_count": len(_basis_bits(n, rank, necklace_masks(dp.perm, dp.col))),
                 }
         elif what == "lpms":
             for p in all_lpms(rank, n, max_n):

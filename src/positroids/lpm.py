@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import le
 from typing import Iterable
 
-from .cyclic import CACHE_SIZE, check_element, check_ground, distinct_members, gale_leq
+from .cyclic import CACHE_SIZE, bits_of, check_element, check_ground, distinct_members, gale_leq
 from .matroids import Matroid
 from .quotients import QuotientVerdict
 
@@ -58,16 +58,16 @@ class Lpm:
 def lpm_bases(p: Lpm) -> Matroid:
     """All k-subsets B with U <=_1 B <=_1 L; nonempty since U qualifies.
 
-    Combinations come out sorted, so the Gale conditions are the positional
-    bounds u_t <= b_t <= l_t on the sorted U and L.
+    Combinations come out sorted, in canonical order, so the Gale
+    conditions are the bounds u_t <= b_t <= l_t on the sorted U and L.
     """
     upper, lower = sorted(p.U), sorted(p.L)
-    found = [
-        combo
+    found = tuple(
+        bits_of(combo)
         for combo in itertools.combinations(range(1, p.n + 1), p.k)
         if all(map(le, upper, combo)) and all(map(le, combo, lower))
-    ]
-    return Matroid(p.n, found)
+    )
+    return Matroid._of_masks(p.n, found)
 
 
 def lpm_quotient_greedy(sub: Lpm, sup: Lpm) -> QuotientVerdict:

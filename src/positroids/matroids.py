@@ -1,20 +1,19 @@
 """Explicit-bases matroids and the positroid basis layer.
 
-A matroid stores its full basis family and derives everything else (rank
-function, circuits, duality, loops and coloops) from it.  Three routes are
-bitmask kernels.  ``bases_from_necklace`` applies each rank cap on a cyclic
-interval to all k-subsets at once, as one AND with a bitset from the packed
-cap table of (n, k), cached for n <= 10 and built row by row above; the
-positroid census counts the surviving bits without building a matroid.
-Input off the necklace axioms gets the caps all the same: [[1], [3], [1]]
-gives the one basis {1}.  Rank tables are packed ints, one byte field per
-subset, every field computed at once with big-int operations over
-``byte_table_masks`` and ``subset_max``, which the quotient check shares:
-``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and
-``necklace_rank_table`` builds the same int straight from necklace masks,
-with no basis set and no ``Matroid``, for the flag-pair sweep.  The
-necklace and conecklace come from ``cyclic.gale_extrema`` over the basis
-masks, which alone decide ``is_positroid``.  The direct routes they replace
+A matroid stores its basis family as masks in canonical order and derives
+everything else (the bases as sets, rank function, circuits, duality,
+loops and coloops) from them.  Three routes are bitmask kernels.
+``bases_from_necklace`` applies each rank cap on a cyclic interval to all
+k-subsets at once, as one AND with a bitset from the packed cap table of
+(n, k), cached for n <= 10 and built row by row above; the surviving masks
+become the matroid unchecked.  Input off the necklace axioms gets the caps
+all the same: [[1], [3], [1]] gives the one basis {1}.  Rank tables are
+packed ints, one byte field per subset, computed with big-int operations
+over ``byte_table_masks`` and ``subset_max``, which the quotient check
+shares: ``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and
+``necklace_rank_table`` builds the same int from necklace masks for the
+flag-pair sweep.  The necklace and conecklace come from
+``cyclic.gale_extrema`` over the basis masks.  The direct routes they replace
 (the Gale-order filter, max over bases, the sorted-tuple Gale extremum, the
 exchange axiom ahead of the closure) are oracles in ``tests/support.py``.
 Circuits and ``is_valid``, kept for outside input, are direct search over
@@ -39,20 +38,19 @@ from .cyclic import (
     mask_of,
     members_of,
 )
-from .decorated import DecoratedPermutation, GrassmannNecklace
+from .decorated import DecoratedPermutation, GrassmannNecklace, necklace_masks
 
 
 @dataclass(frozen=True)
 class Matroid:
-    """Ground size n plus an explicit basis family.
-
-    The family is deduplicated and canonically ordered at construction.
-    Structural checks only; ``is_valid`` performs the exchange-axiom check,
-    and the semantic operations assume it holds.
+    """Ground size n plus an explicit basis family, stored as its masks,
+    deduplicated and in canonical order: the lexicographic order of the
+    sorted bases.  Structural checks only; ``is_valid`` performs the
+    exchange-axiom check, and the semantic operations assume it holds.
     """
 
     n: int
-    bases: tuple[frozenset[int], ...]
+    basis_masks: tuple[int, ...]
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
         check_ground(n)
@@ -61,21 +59,30 @@ class Matroid:
             raise ValueError("a matroid needs at least one basis")
         check_members(family, n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", tuple(sorted(family, key=sorted)))
+        object.__setattr__(self, "basis_masks", tuple(map(bits_of, sorted(family, key=sorted))))
+
+    @classmethod
+    def _of_masks(cls, n: int, basis_masks: tuple[int, ...]) -> "Matroid":
+        """The kernels' route: distinct masks of subsets of [n], nonempty and
+        already in canonical order, taken with no check and no sort."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "basis_masks", basis_masks)
+        return m
+
+    @cached_property
+    def bases(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(members_of, self.basis_masks))
 
     @property
     def rank(self) -> int:
-        return len(self.bases[0])
-
-    @cached_property
-    def basis_masks(self) -> tuple[int, ...]:
-        return tuple(map(bits_of, self.bases))
+        return self.basis_masks[0].bit_count()
 
     def is_valid(self) -> bool:
         """Equicardinality plus the basis-exchange axiom, checked pairwise."""
-        if len({len(b) for b in self.bases}) != 1:
-            return False
         masks = self.basis_masks
+        if len(set(map(int.bit_count, masks))) != 1:
+            return False
         mset = set(masks)
         for b1 in masks:
             for b2 in masks:
@@ -149,13 +156,13 @@ class Matroid:
 
     @cached_property
     def _necklace(self) -> GrassmannNecklace:
-        entries = gale_extrema(self.bases, self.basis_masks, self.n, range(1, self.n + 1), maximum=False)
-        return GrassmannNecklace(self.n, self.rank, entries)
+        entries = gale_extrema(self.basis_masks, self.n, range(1, self.n + 1), maximum=False)
+        return GrassmannNecklace(self.n, self.rank, tuple(map(members_of, entries)))
 
     @cached_property
     def _conecklace(self) -> GrassmannNecklace:
-        entries = gale_extrema(self.bases, self.basis_masks, self.n, range(1, self.n + 1), maximum=True)
-        return GrassmannNecklace(self.n, self.rank, entries)
+        entries = gale_extrema(self.basis_masks, self.n, range(1, self.n + 1), maximum=True)
+        return GrassmannNecklace(self.n, self.rank, tuple(map(members_of, entries)))
 
     def grassmann_necklace(self) -> GrassmannNecklace:
         """Entry i is the <=_i-minimum basis, read off the prefix counts of
@@ -176,7 +183,7 @@ class Matroid:
             necklace = self.grassmann_necklace()
         except ValueError:
             return False
-        return necklace.satisfies_axioms() and set(bases_from_necklace(necklace).bases) == set(self.bases)
+        return necklace.satisfies_axioms() and bases_from_necklace(necklace) == self
 
     def to_json(self) -> dict:
         return {"n": self.n, "bases": [sorted(b) for b in self.bases]}
@@ -244,15 +251,16 @@ def packed_rank_table(n: int, basis_masks: Iterable[int]) -> int:
 
 
 # cap tables are cached for ground sets up to this size, where every
-# table together takes 1.4 MB; larger ones are built row by row per call
+# table together takes 0.47 MB; larger ones are built row by row per call
 CACHED_N = 10
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits -> compress selectors
 
 
-def _subsets(n: int, k: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], list[int]]:
-    """The k-subsets of [n] in lexicographic order, their masks, and for
+def _subsets(n: int, k: int) -> tuple[tuple[int, ...], list[int]]:
+    """The masks of the k-subsets of [n] in lexicographic order, and for
     each element x the bitset of those that hold x (bit c for the c-th
     subset)."""
-    subsets = tuple(map(frozenset, itertools.combinations(range(1, n + 1), k)))
+    subsets = list(itertools.combinations(range(1, n + 1), k))
     # digits[x - 1]: the binary digits of has[x], highest bit first, marked
     # from the members of each subset or, for k > n / 2, its fewer non-members
     members = 2 * k <= n
@@ -260,9 +268,9 @@ def _subsets(n: int, k: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...
     digits = [bytearray(b"0" if members else b"1") * len(subsets) for _ in range(n)]
     mark = ord("1" if members else "0")
     for c, b in enumerate(reversed(subsets)):
-        for x in b if members else ground - b:
+        for x in b if members else ground.difference(b):
             digits[x - 1][c] = mark
-    return subsets, tuple(map(bits_of, subsets)), [int(d, 2) for d in digits]
+    return tuple(map(bits_of, subsets)), [int(d, 2) for d in digits]
 
 
 def _arc_caps(has: list[int], s: int, k: int, count: int) -> tuple:
@@ -285,34 +293,34 @@ def _arc_caps(has: list[int], s: int, k: int, count: int) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _cap_table(n: int, k: int) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], tuple]:
-    """The k-subsets of [n] and their masks (``_subsets``), shared by every
-    basis family built from them, and ``rows[s]``, the caps on the arcs
-    from bit s (``_arc_caps``): n*n*k big-int operations.
+def _cap_table(n: int, k: int) -> tuple[tuple[int, ...], tuple]:
+    """The masks of the k-subsets of [n] (``_subsets``) and ``rows[s]``,
+    the caps on the arcs from bit s (``_arc_caps``): n*n*k big-int
+    operations.
 
     Only ``_basis_bits`` calls it, and only for n <= ``CACHED_N``.  Build
-    time and footprint, Python 3.11: 0.1 ms and 9 KB at (6, 3), 0.2 ms and
-    26 KB at (8, 4), 0.5 ms and 0.22 MB at (10, 5), mostly the subsets
-    themselves.  The 32 tables the cache holds cover every rank of every n
-    from 6 to 8 at once (24 keys, 0.3 MB together), and every table with
-    n <= 10 together is 1.4 MB, which bounds the cache.
+    time and footprint, Python 3.11: 0.06 ms and 5 KB at (6, 3), 0.2 ms and
+    10 KB at (8, 4), 0.5 ms and 31 KB at (10, 5).  The 32 tables the cache
+    holds cover every rank of every n from 6 to 8 at once (24 keys, 0.13 MB
+    together), and every table with n <= 10 together is 0.47 MB, which
+    bounds the cache.
     """
-    subsets, subset_masks, has = _subsets(n, k)
+    subset_masks, has = _subsets(n, k)
     # equal bitsets are stored once: on arcs longer than n - k + t every
     # subset has more than t members, which matters for k close to n
     shared: dict[int, int] = {}
     rows = tuple(
-        tuple(tuple(map(shared.setdefault, caps, caps)) for caps in _arc_caps(has, s, k, len(subsets)))
+        tuple(tuple(map(shared.setdefault, caps, caps)) for caps in _arc_caps(has, s, k, len(subset_masks)))
         for s in range(n)
     )
-    return subsets, subset_masks, rows
+    return subset_masks, rows
 
 
-def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], int]:
-    """The k-subsets of [n] in lexicographic order, their masks, and the
-    bases of the positroid of the rank-k necklace with the given entry
-    masks as a bitset over them: every subset, less those over some cap.
-    The caps come from the cached ``_cap_table`` for n <= ``CACHED_N``;
+def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """The basis masks, in lexicographic order, of the positroid of the
+    rank-k necklace with the given entry masks: a bitset over the k-subsets
+    of [n], every subset less those over some cap, decoded to the subsets'
+    masks.  The caps come from the cached ``_cap_table`` for n <= ``CACHED_N``;
     above it, each row is built for the entry that needs one and dropped,
     so the memory held is one row, not n of them.
 
@@ -323,12 +331,12 @@ def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[tuple[frozenset[i
     intervals, one per start and length, so no cap repeats.
     """
     if n <= CACHED_N:
-        subsets, subset_masks, rows = _cap_table(n, k)
+        subset_masks, rows = _cap_table(n, k)
         row_of = rows.__getitem__
     else:
-        subsets, subset_masks, has = _subsets(n, k)
-        row_of = partial(_arc_caps, has, k=k, count=len(subsets))
-    alive = (1 << len(subsets)) - 1
+        subset_masks, has = _subsets(n, k)
+        row_of = partial(_arc_caps, has, k=k, count=len(subset_masks))
+    alive = (1 << len(subset_masks)) - 1
     full = full_mask(n)
     for i, entry in enumerate(masks):
         # bit j of rot: the element at position j of <_i
@@ -346,15 +354,13 @@ def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[tuple[frozenset[i
             t += 1
     if not alive:
         raise ValueError("no subset dominates every necklace entry; invalid necklace")
-    return subsets, subset_masks, alive
+    return tuple(itertools.compress(subset_masks, bin(alive)[:1:-1].encode().translate(_SELECTORS)))
 
 
 def necklace_rank_table(n: int, k: int, masks: Iterable[int]) -> int:
     """``packed_rank_table`` of the positroid of the rank-k necklace with
-    the given entry masks, straight from the basis bitset of
-    ``_basis_bits``: no basis set and no ``Matroid`` is built."""
-    _, subset_masks, alive = _basis_bits(n, k, masks)
-    return packed_rank_table(n, (m for m, bit in zip(subset_masks, bin(alive)[:1:-1]) if bit == "1"))
+    the given entry masks, from ``_basis_bits``, with no ``Matroid``."""
+    return packed_rank_table(n, _basis_bits(n, k, masks))
 
 
 def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
@@ -363,22 +369,22 @@ def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:
     The positroid is cut out by rank caps on cyclic intervals (Oh,
     arXiv:0803.1018): ``_basis_bits`` applies each cap to all k-subsets at
     once, as one AND with a bitset of the packed cap table, and the
-    surviving bits decode to the table's subsets, shared by every call
-    with the same cached (n, k).
+    surviving bits decode to basis masks in canonical order, which become
+    the matroid with no check and no sort.
 
     Assumes the necklace axioms.  Input that breaks them may leave no
     subset (ValueError) or yield the positroid of another necklace:
     [[1], [3], [1]] gives the one basis {1}.  Outside input is checked by
     ``DecoratedPermutation.from_necklace``, which names the violation.
     """
-    subsets, _, alive = _basis_bits(necklace.n, necklace.k, necklace.masks)
-    return Matroid(necklace.n, [b for b, bit in zip(subsets, bin(alive)[:1:-1]) if bit == "1"])
+    return Matroid._of_masks(necklace.n, _basis_bits(necklace.n, necklace.k, necklace.masks))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def positroid_of(dp: DecoratedPermutation) -> Matroid:
-    """The positroid whose Grassmann necklace is the one of dp."""
-    return bases_from_necklace(dp.necklace)
+    """The positroid of dp's necklace, read off ``necklace_masks``."""
+    masks = necklace_masks(dp.perm, dp.col)
+    return Matroid._of_masks(dp.n, _basis_bits(dp.n, masks[0].bit_count(), masks))
 
 
 @lru_cache(maxsize=CACHE_SIZE, typed=True)  # typed: True and 1.0 are refused, not read as 1
@@ -387,4 +393,4 @@ def uniform_matroid(k: int, n: int) -> Matroid:
     check_ground(n)
     if type(k) is not int or not 0 <= k <= n:
         raise ValueError(f"rank {k!r} out of range 0..{n}")
-    return Matroid(n, itertools.combinations(range(1, n + 1), k))
+    return Matroid._of_masks(n, tuple(map(bits_of, itertools.combinations(range(1, n + 1), k))))

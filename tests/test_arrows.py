@@ -14,6 +14,7 @@ from positroids import (
     rank_upper_bound,
     uniform_dp,
 )
+from positroids.arrows import _ccw_masks, _cw_masks
 from positroids.cyclic import CyclicInterval, full_mask, members_of
 
 DP_P = DecoratedPermutation.from_text("1o 5 4 6 2 3")
@@ -44,6 +45,12 @@ class TestArrowConstruction:
 
     def test_arrow_indexing(self):
         assert cw_arrows(DP_P).arrows[1].members() == {2, 3, 4, 5}
+
+    def test_closed_form_masks_match_the_arrows(self, dps):
+        for n in range(1, 8):
+            for dp in dps(n):
+                assert _cw_masks(dp) == tuple(a.mask for a in cw_arrows(dp).arrows), dp
+                assert _ccw_masks(dp) == tuple(a.mask for a in ccw_arrows(dp).arrows), dp
 
 
 class TestCwCcwFunctions:

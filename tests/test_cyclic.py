@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import support
 from positroids.cyclic import (
     CyclicInterval,
+    arc_mask,
     cyclic_components,
     cyclic_pos,
     gale_leq,
@@ -138,13 +139,12 @@ def _assert_same_outcome(i, family, n, maximum, strict_message=True):
         if strict_message:
             assert str(got) == str(expected)
     else:
-        # the family's own object, the first of any equal members
-        assert got is expected, (i, family, got, expected)
+        assert got == expected, (i, family, got, expected)
 
 
 class TestGaleKernelAgainstOracle:
     """gale_min/gale_max, read off prefix counts, against the sorted-tuple
-    search in ``support``: the same set object or the same refusal."""
+    search in ``support``: the same set or the same refusal."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -213,6 +213,16 @@ class TestCyclicInterval:
                     iv = CyclicInterval.arc(n, a, b)
                     assert len(iv) == (b - a) % n + 1
                     assert len(iv) == len(iv.members())
+
+    def test_arc_mask_matches_the_walked_arc(self):
+        for n in range(1, 10):
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    walked, x = {a}, a
+                    while x != b:
+                        x = x % n + 1
+                        walked.add(x)
+                    assert arc_mask(n, a, b) == mask_of(walked, n), (n, a, b)
 
     def test_membership_matches_members(self):
         iv = CyclicInterval.arc(8, 7, 2)

@@ -123,6 +123,11 @@ class TestNecklaces:
         with pytest.raises(ValueError, match=rf"^element {bad!r} out of range 1\.\.4$"):
             GrassmannNecklace(4, 2, entries)
 
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_non_int_rank_refused(self, k):
+        with pytest.raises(ValueError, match=rf"^k {k!r} is not an integer$"):
+            GrassmannNecklace(1, k, [{1}])
+
     def test_masks_match_checked_masks(self):
         for neck in (DP_15234.necklace, DP_15234.conecklace, DP_1654237.necklace):
             assert neck.masks == tuple(mask_of(e, neck.n) for e in neck.entries)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -14,7 +15,9 @@ from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
     Matroid,
+    all_lpms,
     bases_from_necklace,
+    lpm_bases,
     positroid_of,
     uniform_dp,
     uniform_matroid,
@@ -187,6 +190,61 @@ class TestNecklaceBridge:
         )
 
 
+def _assert_same_as_checked(m):
+    # the decoded bases, in reverse, through the checked constructor
+    checked = Matroid(m.n, reversed(m.bases))
+    assert m == checked and hash(m) == hash(checked), m.to_json()
+    assert m.bases == checked.bases
+
+
+class TestTrustedPath:
+    """The kernels' unchecked route gives the same matroid as the checked
+    constructor, and never checks or sorts."""
+
+    def test_positroids_exhaustive(self, dps):
+        for n in range(1, 7):
+            for dp in dps(n):
+                _assert_same_as_checked(positroid_of(dp))
+                _assert_same_as_checked(bases_from_necklace(dp.necklace))
+
+    @settings(max_examples=100, deadline=None)
+    @given(support.decorated_permutations(max_n=9))
+    def test_positroids_drawn(self, dp):
+        _assert_same_as_checked(positroid_of(dp))
+        _assert_same_as_checked(bases_from_necklace(dp.necklace))
+
+    def test_lpms_exhaustive(self):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for p in all_lpms(k, n):
+                    _assert_same_as_checked(lpm_bases(p))
+
+    def test_uniform_matroids(self):
+        for n in range(1, 9):
+            for k in range(n + 1):
+                _assert_same_as_checked(uniform_matroid(k, n))
+
+    def test_masks_are_the_stored_form(self):
+        assert [f.name for f in dataclasses.fields(Matroid)] == ["n", "basis_masks"]
+        m = uniform_matroid.__wrapped__(2, 4)
+        assert "bases" not in vars(m)
+        assert m.bases[0] == {1, 2} and "bases" in vars(m)
+
+    def test_kernels_neither_check_nor_sort(self, monkeypatch, dps):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel route checked or sorted its family")
+
+        monkeypatch.setattr(matroids, "check_members", refuse)
+        monkeypatch.setattr(matroids, "sorted", refuse, raising=False)
+        for dp in dps(5):  # the caches are bypassed, so every call builds
+            positroid_of.__wrapped__(dp)
+            bases_from_necklace(dp.necklace)
+        for k in range(6):
+            uniform_matroid.__wrapped__(k, 5)
+            for p in all_lpms(k, 5):
+                lpm_bases.__wrapped__(p)
+
+
 class TestKernelsAgainstOracles:
     """bases_from_necklace against the Gale-order filter, rank_table against
     max over bases, and the necklaces against the sorted-tuple Gale
@@ -258,8 +316,6 @@ class TestKernelsAgainstOracles:
                 for maximum, neck in ((False, m.grassmann_necklace()), (True, m.grassmann_conecklace())):
                     expected = tuple(support.sorted_gale_extremum(i, m.bases, n, maximum) for i in range(1, n + 1))
                     assert neck.entries == expected, m.to_json()
-                    # entries are the matroid's own basis objects
-                    assert all(any(e is b for b in m.bases) for e in neck.entries)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -287,12 +343,8 @@ class TestKernelsAgainstOracles:
         assert len(bases_from_necklace(uniform_dp(7, 14).necklace).bases) == math.comb(14, 7)
 
     def test_bases_are_the_table_subsets(self):
-        # positroids of one (n, k) hold the cap table's subset objects
-        m = bases_from_necklace(DecoratedPermutation.from_text("2 6 1 5 3 4").necklace)
-        uniform = bases_from_necklace(uniform_dp(3, 6).necklace)
-        subsets = list(map(id, matroids._cap_table(6, 3)[0]))
-        assert list(map(id, uniform.bases)) == subsets
-        assert set(map(id, m.bases)) < set(subsets)
+        # the uniform matroid's masks are the cap table's subset masks, in order
+        assert uniform_matroid(3, 6).basis_masks == matroids._cap_table(6, 3)[0]
 
     def test_no_size_is_refused(self):
         # U_{8,17} converts in test_cli
@@ -320,7 +372,7 @@ class TestKernelsAgainstOracles:
 
     def test_cap_cache_footprint_is_bounded(self):
         # every rank of [16] in turn leaves nothing cached; every (n, k)
-        # with n <= CACHED_N in turn leaves 32 tables, under 1.4 MB
+        # with n <= CACHED_N in turn leaves 32 tables of masks, under 0.5 MB
         big = [uniform_dp(k, 16).necklace for k in range(17)]
         small = [uniform_dp(k, n).necklace for n in range(1, matroids.CACHED_N + 1) for k in range(n + 1)]
         for necklace in big + small:
@@ -340,7 +392,7 @@ class TestKernelsAgainstOracles:
         finally:
             tracemalloc.stop()
         assert matroids._cap_table.cache_info().currsize == 32
-        assert retained < 1.4e6
+        assert retained < 0.5e6
 
     @settings(max_examples=200, deadline=None)
     @given(support.subset_sequences(max_n=9))
