@@ -7,8 +7,11 @@ suffix in text form) or -1 (a coloop, ``c`` suffix) on each fixed point.
 Decorated permutations are in bijection with Grassmann necklaces and are
 the compact encoding of positroids used everywhere in this package.
 Necklaces and conecklaces share the untagged type ``GrassmannNecklace``;
-which one a value is follows from the property that made it.  Images,
-colours and n must be ints: a JSON ``true`` is refused, not read as 1.
+which one a value is follows from the property that made it.  Both are
+stored as the entry masks the kernels hand over unchecked, which the axiom
+check and ``from_necklace`` read; the set routes are oracles in
+``tests/support.py``.  Images, colours and n must be ints: a JSON ``true``
+is refused, not read as 1.
 """
 from __future__ import annotations
 
@@ -40,63 +43,62 @@ _COL_OF_SUFFIX = {"": 0, "o": LOOP, "c": COLOOP}
 
 @dataclass(frozen=True)
 class GrassmannNecklace:
-    """A sequence (I_1, ..., I_n) of k-subsets of [n].
-
-    The same type stores conecklaces (sequences of Gale maxima), so the
-    necklace axioms are never imposed at construction time.
-    """
+    """A sequence (I_1, ..., I_n) of k-subsets of [n], stored as its entry masks
+    (shown by ``repr``; ``entries`` decodes them on first read).  The constructor
+    checks its entries and ``_of_masks``, the kernels' route, does not.  Conecklaces
+    share the type, so the necklace axioms are never imposed at construction."""
 
     n: int
     k: int
-    entries: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.k) is not int:
-            raise ValueError(f"k {self.k!r} is not an integer")
-        check_ground(self.n)
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"rank {self.k} out of range for n={self.n}")
-        entries = tuple(frozenset(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != self.n:
-            raise ValueError(f"expected {self.n} entries, got {len(entries)}")
+    def __init__(self, n: int, k: int, entries: Iterable[Iterable[int]]):
+        if type(k) is not int:
+            raise ValueError(f"k {k!r} is not an integer")
+        check_ground(n)
+        if not 0 <= k <= n:
+            raise ValueError(f"rank {k} out of range for n={n}")
+        entries = tuple(map(frozenset, entries))
+        if len(entries) != n:
+            raise ValueError(f"expected {n} entries, got {len(entries)}")
         for e in entries:
-            if len(e) != self.k:
-                raise ValueError(f"entry {sorted(e)} is not a {self.k}-subset")
-        check_members(entries, self.n)
+            if len(e) != k:
+                raise ValueError(f"entry {sorted(e)} is not a {k}-subset")
+        check_members(entries, n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "masks", tuple(map(bits_of, entries)))
 
-    def entry(self, i: int) -> frozenset[int]:
-        """The i-th entry, 1-indexed, with I_{n+1} meaning I_1."""
-        return self.entries[(i - 1) % self.n]
+    @classmethod
+    def _of_masks(cls, n: int, k: int, masks: tuple[int, ...]) -> "GrassmannNecklace":
+        """The kernels' route: n masks of k-subsets of [n], unchecked."""
+        neck = object.__new__(cls)
+        object.__setattr__(neck, "n", n)
+        object.__setattr__(neck, "k", k)
+        object.__setattr__(neck, "masks", masks)
+        return neck
 
     @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(map(bits_of, self.entries))
-
-    @cached_property
-    def _packed(self) -> int:
-        """Every entry mask in one int, entry i in bits n*(i-1) .. n*i - 1."""
-        return sum(mask << (self.n * i) for i, mask in enumerate(self.masks))
+    def entries(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(members_of, self.masks))
 
     def satisfies_axioms(self) -> bool:
         return self._axiom_violation() is None
 
     def _axiom_violation(self) -> str | None:
-        for i in range(1, self.n + 1):
-            cur, nxt = self.entry(i), self.entry(i + 1)
-            if i in cur:
-                if not cur - {i} <= nxt:
+        for i, (cur, nxt) in enumerate(zip(self.masks, self.masks[1:] + self.masks[:1]), start=1):
+            if cur >> (i - 1) & 1:
+                if cur & ~nxt & ~(1 << (i - 1)):
                     return f"entry {i + 1} does not contain entry {i} minus {{{i}}}"
             elif nxt != cur:
                 return f"{i} is not in entry {i} but entry {i + 1} differs"
         return None
 
     def contains_entrywise(self, other: "GrassmannNecklace") -> bool:
-        """Whether other's entries are contained in self's, entry by entry
-        (one test on the packed entry masks)."""
+        """Whether other's entries are contained in self's, entry by entry."""
         if other.n != self.n:
             raise ValueError("ground-set mismatch")
-        return other._packed & ~self._packed == 0
+        return not any(b & ~a for a, b in zip(self.masks, other.masks))
 
     def to_json(self) -> dict:
         return {"k": self.k, "entries": [sorted(e) for e in self.entries]}
@@ -175,16 +177,16 @@ class DecoratedPermutation:
 
     @cached_property
     def necklace(self) -> GrassmannNecklace:
-        """The entries of ``necklace_masks`` as sets."""
+        """The masks of ``necklace_masks``, taken unchecked."""
         masks = necklace_masks(self.perm, self.col)
-        return GrassmannNecklace(self.n, masks[0].bit_count(), tuple(map(members_of, masks)))
+        return GrassmannNecklace._of_masks(self.n, masks[0].bit_count(), masks)
 
     @cached_property
     def conecklace(self) -> GrassmannNecklace:
-        """J_i = perm^{-1}(I_i), entry by entry."""
-        inv = self.inverse
-        entries = tuple(frozenset(inv[x - 1] for x in e) for e in self.necklace.entries)
-        return GrassmannNecklace(self.n, self.necklace.k, entries)
+        """J_i = perm^{-1}(I_i): the complement of the dual's I_i, as Gale
+        maxima are the complements of the dual's Gale minima."""
+        dual = necklace_masks(self.inverse, tuple(-c for c in self.col))
+        return GrassmannNecklace._of_masks(self.n, self.rank, tuple(full_mask(self.n) & ~m for m in dual))
 
     @cached_property
     def rank(self) -> int:
@@ -236,21 +238,18 @@ class DecoratedPermutation:
 
     @classmethod
     def from_necklace(cls, necklace: GrassmannNecklace) -> "DecoratedPermutation":
-        """Inverse of the ``necklace`` property; raises ValueError on an axiom violation."""
+        """Inverse of the ``necklace`` property; raises ValueError on an axiom
+        violation.  Off the fixed points the axioms make I_{i+1} = I_i - {i} + {perm(i)}."""
         bad = necklace._axiom_violation()
         if bad is not None:
             raise ValueError(f"not a Grassmann necklace: {bad}")
-        n = necklace.n
-        perm = [0] * n
-        col = [0] * n
-        for i in range(1, n + 1):
-            cur, nxt = necklace.entry(i), necklace.entry(i + 1)
+        masks, perm, col = necklace.masks, [0] * necklace.n, [0] * necklace.n
+        for i, (cur, nxt) in enumerate(zip(masks, masks[1:] + masks[:1]), start=1):
             if nxt == cur:
                 perm[i - 1] = i
-                col[i - 1] = COLOOP if i in cur else LOOP
+                col[i - 1] = COLOOP if cur >> (i - 1) & 1 else LOOP
             else:
-                (j,) = nxt - (cur - {i})
-                perm[i - 1] = j
+                perm[i - 1] = (nxt & ~cur).bit_length()
         dp = cls(tuple(perm), tuple(col))
         if not dp.is_valid():
             raise ValueError("necklace does not define a decorated permutation")

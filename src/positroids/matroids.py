@@ -12,12 +12,12 @@ packed ints, one byte field per subset, computed with big-int operations
 over ``byte_table_masks`` and ``subset_max``, which the quotient check
 shares: ``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and
 ``necklace_rank_table`` builds the same int from necklace masks for the
-flag-pair sweep.  The necklace and conecklace come from
-``cyclic.gale_extrema`` over the basis masks.  The direct routes they replace
-(the Gale-order filter, max over bases, the sorted-tuple Gale extremum, the
-exchange axiom ahead of the closure) are oracles in ``tests/support.py``.
-Circuits and ``is_valid``, kept for outside input, are direct search over
-subsets, exact at desk scale.
+flag-pair sweep.  The necklace and conecklace are the masks that
+``cyclic.gale_extrema`` finds, taken unchecked.  The direct routes these
+replace (the Gale-order filter, max over bases, the sorted-tuple Gale
+extremum, the exchange axiom ahead of the closure) are oracles in
+``tests/support.py``.  Circuits, kept as masks, and ``is_valid``, kept for
+outside input, are direct search over subsets, exact at desk scale.
 """
 from __future__ import annotations
 
@@ -120,8 +120,9 @@ class Matroid:
         return Matroid(self.n, (members_of(full & ~b) for b in self.basis_masks))
 
     @cached_property
-    def circuits(self) -> tuple[frozenset[int], ...]:
-        """All minimal dependent sets, by exhaustive search over subsets of [n]."""
+    def circuit_masks(self) -> tuple[int, ...]:
+        """All minimal dependent sets, by exhaustive search over subsets of
+        [n], ordered by size and then as sorted member lists."""
         table = self.rank_table
         out = []
         for m in range(1, 1 << self.n):
@@ -136,12 +137,12 @@ class Matroid:
                     minimal = False
                     break
             if minimal:
-                out.append(members_of(m))
-        return tuple(sorted(out, key=lambda c: (len(c), sorted(c))))
+                out.append(m)
+        return tuple(sorted(out, key=lambda m: (m.bit_count(), sorted(members_of(m)))))
 
     @cached_property
-    def circuit_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(c, self.n) for c in self.circuits)
+    def circuits(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(members_of, self.circuit_masks))
 
     def loops_and_coloops(self) -> tuple[frozenset[int], frozenset[int]]:
         """(elements in no basis, elements in every basis)."""
@@ -156,13 +157,13 @@ class Matroid:
 
     @cached_property
     def _necklace(self) -> GrassmannNecklace:
-        entries = gale_extrema(self.basis_masks, self.n, range(1, self.n + 1), maximum=False)
-        return GrassmannNecklace(self.n, self.rank, tuple(map(members_of, entries)))
+        masks = gale_extrema(self.basis_masks, self.n, range(1, self.n + 1), maximum=False)
+        return GrassmannNecklace._of_masks(self.n, self.rank, masks)
 
     @cached_property
     def _conecklace(self) -> GrassmannNecklace:
-        entries = gale_extrema(self.basis_masks, self.n, range(1, self.n + 1), maximum=True)
-        return GrassmannNecklace(self.n, self.rank, tuple(map(members_of, entries)))
+        masks = gale_extrema(self.basis_masks, self.n, range(1, self.n + 1), maximum=True)
+        return GrassmannNecklace._of_masks(self.n, self.rank, masks)
 
     def grassmann_necklace(self) -> GrassmannNecklace:
         """Entry i is the <=_i-minimum basis, read off the prefix counts of

@@ -25,7 +25,7 @@ from positroids import (
 )
 from positroids.arrows import _ccw_masks
 from positroids.cyclic import check_element, check_ground, cyclic_pos, full_mask, gale_leq, mask_of
-from positroids.decorated import LOOP, GrassmannNecklace
+from positroids.decorated import COLOOP, LOOP, GrassmannNecklace
 from positroids.matroids import Matroid
 
 
@@ -127,6 +127,48 @@ def conecklace_shift_set(pi: DecoratedPermutation, sigma: DecoratedPermutation) 
     for jp, js in zip(pi.conecklace.masks, sigma.conecklace.masks):
         moved |= jp & ~js
     return mask_members(full_mask(pi.n) & ~moved)
+
+
+def set_axiom_violation(necklace: GrassmannNecklace) -> str | None:
+    """``GrassmannNecklace._axiom_violation`` on the entries as sets, with
+    the same messages."""
+    entries = necklace.entries
+    for i in range(1, necklace.n + 1):
+        cur, nxt = entries[i - 1], entries[i % necklace.n]
+        if i in cur:
+            if not cur - {i} <= nxt:
+                return f"entry {i + 1} does not contain entry {i} minus {{{i}}}"
+        elif nxt != cur:
+            return f"{i} is not in entry {i} but entry {i + 1} differs"
+    return None
+
+
+def set_from_necklace(necklace: GrassmannNecklace) -> DecoratedPermutation:
+    """``DecoratedPermutation.from_necklace`` on the entries as sets: j is
+    the one element of I_{i+1} - (I_i - {i}).  The same ValueErrors."""
+    bad = set_axiom_violation(necklace)
+    if bad is not None:
+        raise ValueError(f"not a Grassmann necklace: {bad}")
+    n, entries = necklace.n, necklace.entries
+    perm, col = [0] * n, [0] * n
+    for i in range(1, n + 1):
+        cur, nxt = entries[i - 1], entries[i % n]
+        if nxt == cur:
+            perm[i - 1] = i
+            col[i - 1] = COLOOP if i in cur else LOOP
+        else:
+            (j,) = nxt - (cur - {i})
+            perm[i - 1] = j
+    dp = DecoratedPermutation(tuple(perm), tuple(col))
+    if not dp.is_valid():
+        raise ValueError("necklace does not define a decorated permutation")
+    return dp
+
+
+def set_conecklace(dp: DecoratedPermutation) -> tuple[frozenset[int], ...]:
+    """The conecklace by its definition, J_i = perm^{-1}(I_i), on sets."""
+    inv = dp.inverse
+    return tuple(frozenset(inv[x - 1] for x in e) for e in dp.necklace.entries)
 
 
 def gale_filter_bases(necklace: GrassmannNecklace) -> Matroid:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -279,6 +280,25 @@ class TestEnumerate:
         ranks = [dp.rank for dp in __import__("positroids").all_decorated_permutations(3)]
         assert len(records) == ranks.count(2) > 0
         assert all(r["k"] == 2 for r in records)
+
+    # (line count, sha256) of each rank's JSONL, copied from CENSUS_6 in
+    # perfbench/spec.py, the outputs the benchmark's census workload pins
+    CENSUS_6 = {
+        0: (1, "6b50e11e05131cf036ff99e94caa920486cbcd43ff271df41999c66a6bb40d0e"),
+        1: (63, "394190220f80d3584a4c5a689b4506955bfa090548876855f7697f4ea2a56fa3"),
+        2: (473, "48014635bf5a0520baa1f0a0cb3a4b1d6a6d9c268b25697064ae4e12951de49f"),
+        3: (883, "d0d655fe3ee7cda77666758fd98ffe48a6b1c702f00b6f1e313ae004d627402a"),
+        4: (473, "2d19abd2062235632666cf7fdad0f287b380dc9a96aeef3f1391831e2f733b3e"),
+        5: (63, "b99492c427472e01c7ee083ad328ab6cd80f667a98fc1ad2531501449f67eaf2"),
+        6: (1, "cc1733a5bd261cc3ec52f2c2bb166052df0a84a32d4ade95865434066759a198"),
+    }
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_positroid_census_bytes_are_pinned(self, capsys, k):
+        code, out, _ = run(capsys, "enumerate", "--what", "positroids", "--k", str(k), "--n", "6", "--out", "-")
+        assert code == 0
+        data = out.encode()
+        assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == self.CENSUS_6[k]
 
     @pytest.mark.parametrize("what, n, ranks", [("flag-pairs", 4, range(1, 5)), ("positroids", 4, range(0, 5))])
     def test_omitted_k_concatenates_every_rank(self, capsys, what, n, ranks):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,11 +8,15 @@ import support
 from positroids import (
     DecoratedPermutation,
     GrassmannNecklace,
+    all_decorated_permutations,
+    census_records,
     shift_interval,
     uniform_dp,
 )
+from positroids import decorated, matroids
 from positroids.cyclic import bits_of, full_mask, mask_of
 from positroids.decorated import necklace_masks
+from positroids.lpm import Lpm, lpm_bases
 from positroids.matroids import positroid_of, uniform_matroid
 
 DP_15234 = DecoratedPermutation.from_text("1c 5 2 3 4")
@@ -112,7 +117,7 @@ class TestNecklaces:
             DecoratedPermutation.from_necklace(bad)
 
     def test_round_trip_exhaustive_small(self, dps):
-        for n in range(1, 5):
+        for n in range(1, 7):
             for dp in dps(n):
                 assert DecoratedPermutation.from_necklace(dp.necklace) == dp
 
@@ -131,6 +136,20 @@ class TestNecklaces:
     def test_masks_match_checked_masks(self):
         for neck in (DP_15234.necklace, DP_15234.conecklace, DP_1654237.necklace):
             assert neck.masks == tuple(mask_of(e, neck.n) for e in neck.entries)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(support.subset_sequences(), support.decorated_permutations().map(lambda dp: dp.necklace)))
+    def test_mask_routes_match_set_oracles(self, necklace):
+        # the axiom check names the same violation, and from_necklace gives
+        # the same permutation or raises the same error, as on sets
+        assert necklace._axiom_violation() == support.set_axiom_violation(necklace)
+        outcomes = []
+        for route in (DecoratedPermutation.from_necklace, support.set_from_necklace):
+            try:
+                outcomes.append(route(necklace))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_necklace_json_round_trip(self):
         neck = DP_15234.necklace
@@ -162,6 +181,60 @@ class TestConecklace:
     def test_all_coloops_conecklace(self):
         dp = DecoratedPermutation((1, 2, 3), (-1, -1, -1))
         assert dp.conecklace.entries == (frozenset({1, 2, 3}),) * 3
+
+    def test_matches_set_oracle_up_to_seven(self, dps):
+        for n in range(1, 8):
+            for dp in dps(n):
+                assert dp.conecklace.entries == support.set_conecklace(dp), dp
+
+
+def _assert_same_as_checked(neck):
+    # the decoded entries through the checked constructor
+    checked = GrassmannNecklace(neck.n, neck.k, neck.entries)
+    assert neck == checked and hash(neck) == hash(checked), neck
+
+
+class TestTrustedPath:
+    """The producers' unchecked route gives the same necklace as the
+    checked constructor, and never decodes, checks or re-encodes."""
+
+    def test_masks_are_the_stored_form(self):
+        assert [f.name for f in dataclasses.fields(GrassmannNecklace)] == ["n", "k", "masks"]
+        neck = DecoratedPermutation.from_text("1c 5 2 3 4").necklace
+        assert "entries" not in vars(neck)
+        assert neck.entries[2] == {1, 3, 4, 5} and "entries" in vars(neck)
+
+    def test_producers_exhaustive(self, dps):
+        for n in range(1, 8):
+            for dp in dps(n):
+                _assert_same_as_checked(dp.necklace)
+                _assert_same_as_checked(dp.conecklace)
+                if n <= 6:
+                    _assert_same_as_checked(positroid_of(dp).grassmann_necklace())
+                    _assert_same_as_checked(positroid_of(dp).grassmann_conecklace())
+
+    def test_producers_neither_check_nor_convert(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a producer checked, decoded or encoded its masks")
+
+        for module, name in ((decorated, "check_members"), (decorated, "bits_of"), (decorated, "members_of")):
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(matroids, "members_of", refuse)
+        for dp in all_decorated_permutations(5):  # fresh objects, so every route builds
+            m = positroid_of.__wrapped__(dp)
+            for neck in (dp.necklace, dp.conecklace, m.grassmann_necklace(), m.grassmann_conecklace()):
+                assert len(neck.masks) == 5
+
+    def test_lpm_census_counts_masks(self):
+        lpm_bases.cache_clear()  # drop matroids whose bases other tests decoded
+        for record in census_records("lpms", None, 6):
+            n, k, upper, lower = record["n"], record["k"], record["U"], record["L"]
+            assert "bases" not in vars(lpm_bases(Lpm(n, upper, lower))), record
+            brute = sum(
+                support.naive_gale_leq(1, upper, b, n) and support.naive_gale_leq(1, b, lower, n)
+                for b in itertools.combinations(range(1, n + 1), k)
+            )
+            assert record["basis_count"] == brute, record
 
 
 class TestGrassmannIntervalsAndMatrix:
