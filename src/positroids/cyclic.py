@@ -41,6 +41,13 @@ def check_element(x: int, n: int) -> None:
         raise ValueError(f"element {x!r} out of range 1..{n}")
 
 
+def check_rank(k: int, n: int) -> None:
+    """check_ground(n), then k an int in 0..n."""
+    check_ground(n)
+    if type(k) is not int or not 0 <= k <= n:
+        raise ValueError(f"rank {k!r} out of range 0..{n}")
+
+
 def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
     """check_element on the members of the given sets, each value once.
 

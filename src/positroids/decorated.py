@@ -11,7 +11,11 @@ which one a value is follows from the property that made it.  Both are
 stored as the entry masks the kernels hand over unchecked, which the axiom
 check and ``from_necklace`` read; the set routes are oracles in
 ``tests/support.py``.  Images, colours and n must be ints: a JSON ``true``
-is refused, not read as 1.
+is refused, not read as 1.  The library's producers hand valid decorated
+permutations to ``DecoratedPermutation._of``, which checks nothing.  A text
+token is ASCII digits, then an optional ``o`` or ``c``; ``from_text``
+checks the whole permutation once, and the token-by-token parser it
+replaces is an oracle in ``tests/support.py``.
 """
 from __future__ import annotations
 
@@ -21,11 +25,13 @@ from functools import cached_property
 from typing import Iterable
 
 from .cyclic import (
+    MAX_GROUND,
     CyclicInterval,
     bits_of,
     check_element,
     check_ground,
     check_members,
+    check_rank,
     cyclic_pos,
     distinct_members,
     full_mask,
@@ -39,6 +45,8 @@ COLOOP = -1
 
 _SUFFIX = {0: "", LOOP: "o", COLOOP: "c"}
 _COL_OF_SUFFIX = {"": 0, "o": LOOP, "c": COLOOP}
+# every token that ``to_text`` writes, 1 to MAX_GROUND bare or with a suffix
+_TOKENS = {f"{v}{_SUFFIX[c]}": (v, c) for v in range(1, MAX_GROUND + 1) for c in _SUFFIX}
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,7 @@ class DecoratedPermutation:
 
     Construction only checks shapes and ranges, so malformed decorations are
     representable; ``is_valid`` is the semantic check.  All other operations
-    assume a valid value.
+    assume a valid value.  ``_of``, the producers' route, checks nothing.
     """
 
     perm: tuple[int, ...]
@@ -135,6 +143,14 @@ class DecoratedPermutation:
         for c in col:
             if type(c) is not int or c not in (-1, 0, 1):
                 raise ValueError(f"colour {c!r} not in {{-1, 0, +1}}")
+
+    @classmethod
+    def _of(cls, perm: tuple[int, ...], col: tuple[int, ...]) -> "DecoratedPermutation":
+        """The producers' route: a valid (perm, col) as tuples, unchecked."""
+        dp = object.__new__(cls)
+        object.__setattr__(dp, "perm", perm)
+        object.__setattr__(dp, "col", col)
+        return dp
 
     @property
     def n(self) -> int:
@@ -214,7 +230,7 @@ class DecoratedPermutation:
 
     def dual(self) -> "DecoratedPermutation":
         """The decorated permutation (perm^{-1}, -col) of the dual positroid."""
-        return DecoratedPermutation(self.inverse, tuple(-c for c in self.col))
+        return DecoratedPermutation._of(self.inverse, tuple(-c for c in self.col))
 
     def cyclic_shift(self, positions: Iterable[int]) -> "DecoratedPermutation":
         """Freeze the given positions and rotate the remaining values one step.
@@ -234,12 +250,13 @@ class DecoratedPermutation:
         for prev, i in zip(free[-1:] + free[:-1], free):
             perm[i] = self.perm[prev]
             col[i] = LOOP if perm[i] == i + 1 else 0
-        return DecoratedPermutation(tuple(perm), tuple(col))
+        return DecoratedPermutation._of(tuple(perm), tuple(col))
 
     @classmethod
     def from_necklace(cls, necklace: GrassmannNecklace) -> "DecoratedPermutation":
         """Inverse of the ``necklace`` property; raises ValueError on an axiom
-        violation.  Off the fixed points the axioms make I_{i+1} = I_i - {i} + {perm(i)}."""
+        violation.  Off the fixed points the axioms make I_{i+1} = I_i - {i} + {perm(i)};
+        as x leaves only at step x, perm is a bijection, taken unchecked."""
         bad = necklace._axiom_violation()
         if bad is not None:
             raise ValueError(f"not a Grassmann necklace: {bad}")
@@ -250,10 +267,7 @@ class DecoratedPermutation:
                 col[i - 1] = COLOOP if cur >> (i - 1) & 1 else LOOP
             else:
                 perm[i - 1] = (nxt & ~cur).bit_length()
-        dp = cls(tuple(perm), tuple(col))
-        if not dp.is_valid():
-            raise ValueError("necklace does not define a decorated permutation")
-        return dp
+        return cls._of(tuple(perm), tuple(col))
 
     # -- text and JSON forms -------------------------------------------------
 
@@ -262,20 +276,21 @@ class DecoratedPermutation:
 
     @classmethod
     def from_text(cls, text: str) -> "DecoratedPermutation":
-        perm, col = [], []
-        for token in text.split():
-            suffix = token[-1] if token[-1] in ("o", "c") else ""
-            digits = token[: len(token) - len(suffix)]
-            if not digits.isdigit():
-                raise ValueError(f"bad decorated permutation token {token!r}")
-            perm.append(int(digits))
-            col.append(_COL_OF_SUFFIX[suffix])
-        if not perm:
+        """Tokens that ``to_text`` writes come from a table, others from
+        ``_token``; then one check of the whole, with the constructor's and
+        ``is_valid``'s messages."""
+        tokens = [_TOKENS.get(token) or _token(token) for token in text.split()]
+        if not tokens:
             raise ValueError("empty decorated permutation text")
-        dp = cls(tuple(perm), tuple(col))
-        if not dp.is_valid():
+        perm, col = map(tuple, zip(*tokens))
+        n = len(perm)
+        check_ground(n)
+        ground = range(1, n + 1)
+        if sorted(perm) != list(ground) or list(map(bool, col)) != list(map(operator.eq, perm, ground)):
+            for x in perm:
+                check_element(x, n)
             raise ValueError(f"invalid decorated permutation {text!r}")
-        return dp
+        return cls._of(perm, col)
 
     def to_json(self) -> dict:
         return {"n": self.n, "perm": list(self.perm), "col": list(self.col)}
@@ -292,6 +307,15 @@ class DecoratedPermutation:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _token(token: str) -> tuple[int, int]:
+    """(value, colour) of a token outside ``_TOKENS``, leading zeros allowed."""
+    suffix = token[-1] if token[-1] in "oc" else ""
+    digits = token[: len(token) - len(suffix)]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad decorated permutation token {token!r}")
+    return int(digits), _COL_OF_SUFFIX[suffix]
 
 
 def necklace_masks(perm: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
@@ -320,9 +344,7 @@ def uniform_dp(k: int, n: int) -> DecoratedPermutation:
     At k = 0 every position is a loop and at k = n every position is a
     coloop, which is what makes rank(uniform_dp(k, n)) == k for all k.
     """
-    check_ground(n)
-    if type(k) is not int or not 0 <= k <= n:
-        raise ValueError(f"rank {k!r} out of range 0..{n}")
+    check_rank(k, n)
     perm = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
     if k == 0:
         col = (LOOP,) * n
@@ -330,7 +352,7 @@ def uniform_dp(k: int, n: int) -> DecoratedPermutation:
         col = (COLOOP,) * n
     else:
         col = (0,) * n
-    return DecoratedPermutation(perm, col)
+    return DecoratedPermutation._of(perm, col)
 
 
 def shift_interval(pi: DecoratedPermutation, sigma: DecoratedPermutation, i: int) -> CyclicInterval:

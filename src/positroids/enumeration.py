@@ -67,7 +67,7 @@ def all_decorated_permutations(
             col = [0] * n
             for pos, c in zip(fixed, decorations):
                 col[pos] = c
-            yield DecoratedPermutation(perm, tuple(col))
+            yield DecoratedPermutation._of(perm, tuple(col))
 
 
 def all_lpms(k: int, n: int, max_n: Optional[int] = None) -> Iterator[Lpm]:

@@ -12,12 +12,13 @@ packed ints, one byte field per subset, computed with big-int operations
 over ``byte_table_masks`` and ``subset_max``, which the quotient check
 shares: ``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and
 ``necklace_rank_table`` builds the same int from necklace masks for the
-flag-pair sweep.  The necklace and conecklace are the masks that
+flag-pair sweep; circuits are packed passes over the independence table it
+starts from.  The necklace and conecklace are the masks that
 ``cyclic.gale_extrema`` finds, taken unchecked.  The direct routes these
 replace (the Gale-order filter, max over bases, the sorted-tuple Gale
-extremum, the exchange axiom ahead of the closure) are oracles in
-``tests/support.py``.  Circuits, kept as masks, and ``is_valid``, kept for
-outside input, are direct search over subsets, exact at desk scale.
+extremum, the exchange axiom ahead of the closure, the subset-by-subset
+circuit search) are oracles in ``tests/support.py``.  ``is_valid``, kept
+for outside input, is a direct pairwise exchange check.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .cyclic import (
     bits_of,
     check_ground,
     check_members,
+    check_rank,
     distinct_members,
     full_mask,
     gale_extrema,
@@ -106,8 +108,6 @@ class Matroid:
     def rank_table(self) -> bytes:
         """rank_of every subset, one byte per subset, indexed by bitmask
         (``packed_rank_table`` as bytes).  Exponential; desk scale only."""
-        if self.n > 16:
-            raise ValueError("rank table supported only for n <= 16")
         return packed_rank_table(self.n, self.basis_masks).to_bytes(1 << self.n, "little")
 
     def rank_of(self, subset: Iterable[int]) -> int:
@@ -121,24 +121,23 @@ class Matroid:
 
     @cached_property
     def circuit_masks(self) -> tuple[int, ...]:
-        """All minimal dependent sets, by exhaustive search over subsets of
-        [n], ordered by size and then as sorted member lists."""
-        table = self.rank_table
-        out = []
-        for m in range(1, 1 << self.n):
-            size = m.bit_count()
-            if table[m] >= size:
-                continue
-            bits, minimal = m, True
-            while bits:
-                x = bits & -bits
-                bits ^= x
-                if table[m ^ x] != size - 1:
-                    minimal = False
-                    break
-            if minimal:
-                out.append(m)
-        return tuple(sorted(out, key=lambda m: (m.bit_count(), sorted(members_of(m)))))
+        """All minimal dependent sets, ordered by size and then as sorted
+        member lists.  Packed passes over the 2^n byte fields: the dependent
+        sets are the fields ``packed_independence_table`` leaves 0, and one
+        AND per element x drops every S that holds x with S - x dependent."""
+        n = self.n
+        independent = packed_independence_table(n, self.basis_masks)
+        guards, _, covers = byte_table_masks(n)
+        dependent = independent ^ guards >> 7  # guards >> 7 holds 1 in every field
+        circuits = dependent
+        for shift, values, _ in covers:
+            circuits &= ~(dependent << shift & values)
+        # of two equal-size member lists, the earlier holds the least element
+        # they differ in: its binary digits, read from element 1, sort later
+        found = itertools.compress(range(1 << n), circuits.to_bytes(1 << n, "little"))
+        ordered = sorted(found, key=lambda m: bin(m)[:1:-1], reverse=True)
+        ordered.sort(key=int.bit_count)
+        return tuple(ordered)
 
     @cached_property
     def circuits(self) -> tuple[frozenset[int], ...]:
@@ -230,25 +229,27 @@ def subset_max(packed: int, n: int) -> int:
     return packed
 
 
-def packed_rank_table(n: int, basis_masks: Iterable[int]) -> int:
-    """The rank of every subset of [n] as one int, field S at bits 8S..8S+7,
-    for the matroid with the given basis masks.
-
-    Three passes of big-int operations over all 2^n fields at once: close
-    the basis indicator downward, one shift-and-OR per element, to mark the
-    independent sets; multiply by 0xFF and keep the popcount table, so an
-    independent S holds |S| and the rest 0; then take rk(S) = max over
-    subsets (``subset_max``).  Ranks stay at most 16, below the guard bit
-    0x80.
-    """
-    _, sizes, covers = byte_table_masks(n)
+def packed_independence_table(n: int, basis_masks: Iterable[int]) -> int:
+    """Field S (bits 8S..8S+7) is 1 when S lies in one of the given bases and
+    0 otherwise: the basis indicator closed downward, one shift-and-OR per
+    element."""
+    if n > 16:
+        raise ValueError("rank table supported only for n <= 16")
     indicator = bytearray(1 << n)
     for b in basis_masks:
         indicator[b] = 1
     packed = int.from_bytes(indicator, "little")
-    for shift, values, g in covers:
+    for shift, values, g in byte_table_masks(n)[2]:
         packed |= (packed & (values | g)) >> shift
-    return subset_max(packed * 0xFF & sizes, n)
+    return packed
+
+
+def packed_rank_table(n: int, basis_masks: Iterable[int]) -> int:
+    """The rank of every subset of [n] as one int, field S at bits 8S..8S+7:
+    the independent sets (``packed_independence_table``) times 0xFF, kept on
+    the popcount table, so an independent S holds |S| and the rest 0, then
+    rk(S) = max over subsets (``subset_max``).  Ranks stay below 0x80."""
+    return subset_max(packed_independence_table(n, basis_masks) * 0xFF & byte_table_masks(n)[1], n)
 
 
 # cap tables are cached for ground sets up to this size, where every
@@ -391,7 +392,5 @@ def positroid_of(dp: DecoratedPermutation) -> Matroid:
 @lru_cache(maxsize=CACHE_SIZE, typed=True)  # typed: True and 1.0 are refused, not read as 1
 def uniform_matroid(k: int, n: int) -> Matroid:
     """U_{k,n}: every k-subset of [n] is a basis."""
-    check_ground(n)
-    if type(k) is not int or not 0 <= k <= n:
-        raise ValueError(f"rank {k!r} out of range 0..{n}")
+    check_rank(k, n)
     return Matroid._of_masks(n, tuple(map(bits_of, itertools.combinations(range(1, n + 1), k))))

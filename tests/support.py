@@ -165,6 +165,26 @@ def set_from_necklace(necklace: GrassmannNecklace) -> DecoratedPermutation:
     return dp
 
 
+def checked_from_text(text: str) -> DecoratedPermutation:
+    """``DecoratedPermutation.from_text`` token by token into the checked
+    constructor and ``is_valid``, with the same messages.  A digit here is
+    any Unicode digit (``str.isdigit``); the library reads ASCII only."""
+    perm, col = [], []
+    for token in text.split():
+        suffix = token[-1] if token[-1] in ("o", "c") else ""
+        digits = token[: len(token) - len(suffix)]
+        if not digits.isdigit():
+            raise ValueError(f"bad decorated permutation token {token!r}")
+        perm.append(int(digits))
+        col.append({"": 0, "o": LOOP, "c": COLOOP}[suffix])
+    if not perm:
+        raise ValueError("empty decorated permutation text")
+    dp = DecoratedPermutation(tuple(perm), tuple(col))
+    if not dp.is_valid():
+        raise ValueError(f"invalid decorated permutation {text!r}")
+    return dp
+
+
 def set_conecklace(dp: DecoratedPermutation) -> tuple[frozenset[int], ...]:
     """The conecklace by its definition, J_i = perm^{-1}(I_i), on sets."""
     inv = dp.inverse
@@ -547,6 +567,34 @@ def equicardinal_families(draw, max_n=9):
         if not family:
             family = set(positroid_of(dp).bases)
     return Matroid(n, family)
+
+
+@st.composite
+def families(draw, max_n=8):
+    """A Matroid object over any nonempty family of subsets of [n]: sizes
+    may differ, and the exchange axiom holds only by chance."""
+    n = draw(st.integers(1, max_n))
+    return Matroid(n, draw(st.lists(st.sets(st.integers(1, n)), min_size=1, max_size=10)))
+
+
+@st.composite
+def permutation_texts(draw):
+    """Input for ``from_text``.  Half of the draws are a permutation of [n],
+    n <= 8, with a random suffix on each value; the others are tokens drawn
+    from the values 0..70, with an optional leading zero and suffix, and from
+    runs of ASCII and non-ASCII digits, o, c and other letters.  Tokens are
+    separated by runs of spaces."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        values = draw(st.permutations(list(range(1, n + 1))))
+        tokens = [f"{v}{draw(st.sampled_from(('', '', 'o', 'c')))}" for v in values]
+    else:
+        value = st.builds(
+            "{}{}{}".format, st.sampled_from(("", "0")), st.integers(0, 70), st.sampled_from(("", "o", "c", "x"))
+        )
+        run = st.text(alphabet="0123456789\u0661\u00b2\u06f7\uff13oocxa\u00e9", min_size=1, max_size=4)
+        tokens = draw(st.lists(st.one_of(value, run), max_size=8))
+    return "".join(" " * draw(st.integers(1, 3)) + t for t in tokens) + " " * draw(st.integers(0, 2))
 
 
 @st.composite

@@ -225,6 +225,12 @@ class TestShiftCommands:
         assert code == 0
         assert out.strip() == "1o 2o"
 
+    @pytest.mark.parametrize("dp, token", [("\u00b2 1", "\u00b2"), ("\u0661o", "\u0661o")])
+    def test_shift_names_a_non_ascii_token(self, capsys, dp, token):
+        code, out, err = run(capsys, "shift", "--dp", dp)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad decorated permutation token {token!r}\n"
+
     def test_recover_shift(self, capsys):
         _, shifted, _ = run(capsys, "shift", "--dp", "5 6 7 8 1 2 3 4", "--freeze", "1,3,5,8")
         code, out, _ = run(

@@ -61,6 +61,39 @@ class TestValidation:
         with pytest.raises(ValueError):
             DecoratedPermutation.from_text("2x 1")
 
+    @pytest.mark.parametrize("text, token", [("\u0661o", "\u0661o"), ("\u00b2 1", "\u00b2"), ("2 \uff11", "\uff11")])
+    def test_text_refuses_non_ascii_digits(self, text, token):
+        with pytest.raises(ValueError, match=f"^bad decorated permutation token {token!r}$"):
+            DecoratedPermutation.from_text(text)
+
+    def test_text_accepts_leading_zeros(self):
+        assert DecoratedPermutation.from_text("01o 002c") == DecoratedPermutation((1, 2), (1, -1))
+
+    def test_text_messages_in_order(self):
+        # a bad token anywhere comes first, then emptiness, the ground size,
+        # the first element out of range, and last bijectivity and decoration
+        cases = {
+            "0 x": "bad decorated permutation token 'x'",
+            "  ": "empty decorated permutation text",
+            " ".join(map(str, range(1, 66))): "ground set size must be an integer in 1..64, got 65",
+            "2 0 9": "element 0 out of range 1..3",
+            "1o 1o": "invalid decorated permutation '1o 1o'",
+            "2o 1": "invalid decorated permutation '2o 1'",
+            "1 2": "invalid decorated permutation '1 2'",
+        }
+        for text, message in cases.items():
+            with pytest.raises(ValueError) as exc:
+                DecoratedPermutation.from_text(text)
+            assert str(exc.value) == message
+            with pytest.raises(ValueError) as exc:
+                support.checked_from_text(text)
+            assert str(exc.value) == message
+
+    def test_text_round_trip_exhaustive(self, dps):
+        for n in range(1, 8):
+            for dp in dps(n):
+                assert DecoratedPermutation.from_text(dp.to_text()) == dp
+
     def test_json_shape(self):
         assert DP_1654237.to_json() == {
             "n": 7,
@@ -235,6 +268,65 @@ class TestTrustedPath:
                 for b in itertools.combinations(range(1, n + 1), k)
             )
             assert record["basis_count"] == brute, record
+
+
+def _assert_dp_as_checked(dp):
+    checked = DecoratedPermutation(dp.perm, dp.col)
+    assert checked.is_valid(), dp
+    assert dp == checked and hash(dp) == hash(checked), dp
+    assert type(dp.perm) is tuple and type(dp.col) is tuple, dp
+
+
+class TestTrustedPermutationPath:
+    """The producers' unchecked route gives the same decorated permutation
+    as the checked constructor, and runs none of its checks."""
+
+    @staticmethod
+    def _produce(dps, n):
+        yield from dps
+        for p, dp in enumerate(dps):
+            yield dp.dual()
+            yield DecoratedPermutation.from_necklace(dp.necklace)
+            yield dp.cyclic_shift(support.mask_members(p % (1 << n)))
+        yield from (uniform_dp(k, n) for k in range(n + 1))
+
+    def test_fields_are_perm_and_col(self):
+        assert [f.name for f in dataclasses.fields(DecoratedPermutation)] == ["perm", "col"]
+
+    def test_producers_exhaustive(self, dps):
+        for n in range(1, 7):
+            for dp in self._produce(dps(n), n):
+                _assert_dp_as_checked(dp)
+        for dp in dps(5):
+            for mask in range(1 << 5):
+                _assert_dp_as_checked(dp.cyclic_shift(support.mask_members(mask)))
+
+    def test_producers_run_no_check(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a producer ran the constructor's checks")
+
+        monkeypatch.setattr(decorated, "check_element", refuse)
+        monkeypatch.setattr(decorated, "check_ground", refuse)
+        produced = list(self._produce(list(all_decorated_permutations(5)), 5))
+        monkeypatch.undo()
+        assert len(produced) == 4 * support.dp_count(5) + 6
+        for dp in produced:
+            _assert_dp_as_checked(dp)
+
+    @pytest.mark.parametrize(
+        "perm, col, message",
+        [
+            ((1, 2), (0, 2), r"^colour 2 not in \{-1, 0, \+1\}$"),
+            ((1, 2), (0, True), r"^colour True not in \{-1, 0, \+1\}$"),
+            ((1, 2), (0,), "^perm has length 2 but col has length 1$"),
+            ((1, 3), (0, 0), r"^element 3 out of range 1\.\.2$"),
+            ((1, 2.0), (0, 0), r"^element 2\.0 out of range 1\.\.2$"),
+            ((), (), r"^ground set size must be an integer in 1\.\.64, got 0$"),
+        ],
+    )
+    def test_public_constructor_still_checks(self, perm, col, message):
+        with pytest.raises(ValueError, match=message):
+            DecoratedPermutation(perm, col)
 
 
 class TestGrassmannIntervalsAndMatrix:
@@ -423,6 +515,38 @@ def test_round_trip_random(dp):
     assert DecoratedPermutation.from_necklace(dp.necklace) == dp
     assert DecoratedPermutation.from_text(dp.to_text()) == dp
     assert DecoratedPermutation.from_json(dp.to_json()) == dp
+
+
+def _first_refused_token(tokens):
+    # under the library's rule: the first non-ASCII token, or the first
+    # token that the oracle refuses on its own
+    for token in tokens:
+        if not token.isascii():
+            return token
+        try:
+            support.checked_from_text(token)
+        except ValueError as exc:
+            if str(exc).startswith("bad decorated permutation token"):
+                return token
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(support.permutation_texts())
+def test_from_text_against_oracle(text):
+    # an equal permutation or the oracle's first message, except that a
+    # non-ASCII token is refused where the oracle may read its digits
+    try:
+        expected = support.checked_from_text(text)
+    except ValueError as exc:
+        expected = str(exc)
+    if not text.isascii():
+        expected = f"bad decorated permutation token {_first_refused_token(text.split())!r}"
+    try:
+        got = DecoratedPermutation.from_text(text)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -124,9 +124,32 @@ class TestCircuits:
         assert P5.circuits == (frozenset({2, 3, 4, 5}),)
 
     def test_circuits_against_naive_on_positroids(self, dps):
-        for dp in dps(4):
-            m = positroid_of(dp)
-            assert list(m.circuits) == support.naive_circuits(m.bases, 4)
+        for n in range(1, 8):
+            for dp in dps(n):
+                m = positroid_of.__wrapped__(dp)  # fresh, so nothing cached is decoded
+                assert list(m.circuits) == support.naive_circuits(m.bases, n), dp
+
+    def test_circuits_against_naive_on_lpms(self):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                for p in all_lpms(k, n):
+                    m = lpm_bases.__wrapped__(p)
+                    assert list(m.circuits) == support.naive_circuits(m.bases, n), p
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(support.families(max_n=8), support.equicardinal_families(max_n=8)))
+    def test_circuits_against_naive_on_any_family(self, m):
+        # unequal sizes and non-matroids too: the minimal sets in no member
+        assert list(m.circuits) == support.naive_circuits(m.bases, m.n), m.to_json()
+
+    def test_circuits_refused_above_sixteen(self):
+        with pytest.raises(ValueError, match="^rank table supported only for n <= 16$"):
+            Matroid(17, [{1}]).circuits
+
+    def test_circuits_build_no_rank_table(self):
+        m = positroid_of.__wrapped__(DecoratedPermutation.from_text("2 6 1 5 3 4"))
+        assert m.circuits
+        assert "rank_table" not in vars(m)
 
 
 class TestLoopsColoops:
