@@ -53,15 +53,40 @@ def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
 
     A union compares by value, so a non-int equal to an int (2.0 or True)
     would hide behind it; one pass over the member types sends such input
-    to the element-by-element check instead.
+    to the element-by-element check instead.  Ints are checked by their
+    minimum and maximum, and one by one only to name the first bad value.
     """
     sets = tuple(sets)
     if set(map(type, itertools.chain.from_iterable(sets))) <= {int}:
         members = frozenset().union(*sets)
+        if not members or 1 <= min(members) and max(members) <= n:
+            return
     else:
         members = itertools.chain.from_iterable(sets)
     for x in members:
         check_element(x, n)
+
+
+def member_masks(lists: list, n: int) -> list[int] | None:
+    """The mask of each given list of distinct elements of [n], in one pass
+    over the members, or None when n is not a ground-set size, an item is
+    not a list, or a member is not an int in 1..n or repeats in its list.
+    Callers then take their checked route, which names the fault with its
+    own message and in its own order.
+    """
+    if type(n) is not int or not 1 <= n <= MAX_GROUND or not set(map(type, lists)) <= {list}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(lists))) <= {int}:
+        return None
+    bit = {x: 1 << (x - 1) for x in range(1, n + 1)}
+    try:
+        masks = [sum(map(bit.__getitem__, members)) for members in lists]
+    except KeyError:
+        return None
+    # a repeated member carries into a higher bit, so the mask has fewer bits
+    if list(map(int.bit_count, masks)) != list(map(len, lists)):
+        return None
+    return masks
 
 
 def json_list(value, what: str) -> list:
@@ -115,6 +140,16 @@ def members_of(mask: int) -> frozenset[int]:
         out.add(low.bit_length())
         mask ^= low
     return frozenset(out)
+
+
+def sorted_members(mask: int) -> list[int]:
+    """The members of a mask in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return out
 
 
 def cyclic_pos(i: int, a: int, n: int) -> int:

@@ -199,10 +199,9 @@ class DecoratedPermutation:
 
     @cached_property
     def conecklace(self) -> GrassmannNecklace:
-        """J_i = perm^{-1}(I_i): the complement of the dual's I_i, as Gale
-        maxima are the complements of the dual's Gale minima."""
-        dual = necklace_masks(self.inverse, tuple(-c for c in self.col))
-        return GrassmannNecklace._of_masks(self.n, self.rank, tuple(full_mask(self.n) & ~m for m in dual))
+        """The masks of ``conecklace_masks``, taken unchecked."""
+        masks = conecklace_masks(self.perm, self.col)
+        return GrassmannNecklace._of_masks(self.n, masks[0].bit_count(), masks)
 
     @cached_property
     def rank(self) -> int:
@@ -310,12 +309,17 @@ class DecoratedPermutation:
 
 
 def _token(token: str) -> tuple[int, int]:
-    """(value, colour) of a token outside ``_TOKENS``, leading zeros allowed."""
+    """(value, colour) of a token outside ``_TOKENS``, leading zeros allowed.
+    A digit run longer than ``int`` converts is refused by name, shortened."""
     suffix = token[-1] if token[-1] in "oc" else ""
     digits = token[: len(token) - len(suffix)]
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"bad decorated permutation token {token!r}")
-    return int(digits), _COL_OF_SUFFIX[suffix]
+    try:
+        return int(digits.lstrip("0") or "0"), _COL_OF_SUFFIX[suffix]
+    except ValueError:
+        shown = f"{token[:8]}...{token[-8:]}"
+        raise ValueError(f"bad decorated permutation token {shown!r} of {len(token)} characters") from None
 
 
 def necklace_masks(perm: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
@@ -334,6 +338,29 @@ def necklace_masks(perm: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ..
     for i, (v, c) in enumerate(zip(perm[:-1], col), start=1):
         if c != LOOP:
             entry = entry & ~(1 << (i - 1)) | 1 << (v - 1)
+        masks.append(entry)
+    return tuple(masks)
+
+
+def conecklace_masks(perm: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:
+    """The Grassmann conecklace J_i = perm^{-1}(I_i) of a valid decorated
+    permutation, entry i as a mask, in O(n) integer operations.
+
+    J_1 = perm^{-1}(I_1) holds the positions j with perm(j) < j and the
+    coloops; then I_{i+1} = I_i - {i} + {perm(i)} gives
+    J_{i+1} = J_i - {perm^{-1}(i)} + {i}, unchanged at a loop.
+    """
+    inverse = [0] * len(perm)  # inverse[v - 1]: the bit of perm^{-1}(v)
+    for j, v in enumerate(perm):
+        inverse[v - 1] = j
+    entry = 0
+    for j, (v, c) in enumerate(zip(perm, col), start=1):
+        if v < j or c == COLOOP:
+            entry |= 1 << (j - 1)
+    masks = [entry]
+    for i, (j, c) in enumerate(zip(inverse[:-1], col)):
+        if c != LOOP:
+            entry = entry & ~(1 << j) | 1 << i
         masks.append(entry)
     return tuple(masks)
 

@@ -2,21 +2,25 @@
 
 An LPM is cut out of C([n], k) by sandwiching between an upper and a lower
 k-subset in the Gale order at 1, which compares sorted tuples componentwise:
-B is a basis exactly when u_t <= b_t <= l_t at every position t.  Necklaces
-and conecklaces of LPMs are the generic matroid ones (Gale minima and maxima
+B is a basis exactly when u_t <= b_t <= l_t at every position t.  Each
+bound is a rank cap on an arc (fewer than t members before u_t, at most
+k - t after l_t), so ``lpm_bases`` applies them as ANDs with bitsets of the
+positroid cap table, the kernel ``bases_from_necklace`` uses; the
+combination filter it replaces is an oracle in ``tests/support.py``.  The
+caps come from U and L alone, not from a necklace, and the necklaces and
+conecklaces of LPMs are the generic matroid ones (Gale minima and maxima
 over the explicit bases, ``cyclic.gale_extrema``), so the fast pairing
-criterion is checked against independently produced data.
+criterion is still checked against independently produced data.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 from typing import Iterable
 
-from .cyclic import CACHE_SIZE, bits_of, check_element, check_ground, distinct_members, gale_leq
-from .matroids import Matroid
+from .cyclic import CACHE_SIZE, check_element, check_ground, check_members, distinct_members
+from .matroids import Matroid, _cap_rows, _surviving
 from .quotients import QuotientVerdict
 
 
@@ -36,7 +40,8 @@ class Lpm:
             check_element(x, n)
         if len(upper) != len(lower):
             raise ValueError(f"|U|={len(upper)} and |L|={len(lower)} must agree")
-        if upper and not gale_leq(1, upper, lower, n):
+        check_members((upper, lower), n)  # a non-int equal to an int (2.0, True) hides in the union
+        if not all(map(le, sorted(upper), sorted(lower))):
             raise ValueError(f"U={sorted(upper)} is not below L={sorted(lower)} in the Gale order at 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "U", upper)
@@ -58,16 +63,22 @@ class Lpm:
 def lpm_bases(p: Lpm) -> Matroid:
     """All k-subsets B with U <=_1 B <=_1 L; nonempty since U qualifies.
 
-    Combinations come out sorted, in canonical order, so the Gale
-    conditions are the bounds u_t <= b_t <= l_t on the sorted U and L.
+    u_t <= b_t says that fewer than t members of B come before u_t, the
+    cap on the arc [1, u_t - 1] from the cap table's row 0; b_t <= l_t
+    says that at most k - t come after l_t, the cap on [l_t + 1, n] from
+    row l_t.  A cap no smaller than its arc is skipped.  The survivors
+    decode in canonical order and become the matroid unchecked.
     """
-    upper, lower = sorted(p.U), sorted(p.L)
-    found = tuple(
-        bits_of(combo)
-        for combo in itertools.combinations(range(1, p.n + 1), p.k)
-        if all(map(le, upper, combo)) and all(map(le, combo, lower))
-    )
-    return Matroid._of_masks(p.n, found)
+    n, k = p.n, p.k
+    subset_masks, row_of = _cap_rows(n, k)
+    prefix = row_of(0)
+    alive = (1 << len(subset_masks)) - 1
+    for t, (u, l) in enumerate(zip(sorted(p.U), sorted(p.L)), start=1):
+        if t < u:
+            alive &= ~prefix[u - 1][t - 1]
+        if k - t < n - l:
+            alive &= ~row_of(l)[n - l][k - t]
+    return Matroid._of_masks(n, _surviving(subset_masks, alive))
 
 
 def lpm_quotient_greedy(sub: Lpm, sup: Lpm) -> QuotientVerdict:

@@ -5,8 +5,9 @@ everything else (the bases as sets, rank function, circuits, duality,
 loops and coloops) from them.  Three routes are bitmask kernels.
 ``bases_from_necklace`` applies each rank cap on a cyclic interval to all
 k-subsets at once, as one AND with a bitset from the packed cap table of
-(n, k), cached for n <= 10 and built row by row above; the surviving masks
-become the matroid unchecked.  Input off the necklace axioms gets the caps
+(n, k), cached for n <= 10 and built row by row above (``_cap_rows``,
+which ``lpm_bases`` shares); the surviving masks become the matroid
+unchecked.  Input off the necklace axioms gets the caps
 all the same: [[1], [3], [1]] gives the one basis {1}.  Rank tables are
 packed ints, one byte field per subset, computed with big-int operations
 over ``byte_table_masks`` and ``subset_max``, which the quotient check
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .cyclic import (
     CACHE_SIZE,
@@ -38,7 +39,9 @@ from .cyclic import (
     gale_extrema,
     json_list,
     mask_of,
+    member_masks,
     members_of,
+    sorted_members,
 )
 from .decorated import DecoratedPermutation, GrassmannNecklace, necklace_masks
 
@@ -47,8 +50,11 @@ from .decorated import DecoratedPermutation, GrassmannNecklace, necklace_masks
 class Matroid:
     """Ground size n plus an explicit basis family, stored as its masks,
     deduplicated and in canonical order: the lexicographic order of the
-    sorted bases.  Structural checks only; ``is_valid`` performs the
-    exchange-axiom check, and the semantic operations assume it holds.
+    sorted bases (``canonical_order``).  ``from_json`` turns each basis
+    into its mask in one pass over the members (``member_masks``) and takes
+    the constructor's checks only to name a fault.  Structural checks only;
+    ``is_valid`` performs the exchange-axiom check, and the semantic
+    operations assume it holds.
     """
 
     n: int
@@ -61,7 +67,7 @@ class Matroid:
             raise ValueError("a matroid needs at least one basis")
         check_members(family, n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis_masks", tuple(map(bits_of, sorted(family, key=sorted))))
+        object.__setattr__(self, "basis_masks", canonical_order(map(bits_of, family)))
 
     @classmethod
     def _of_masks(cls, n: int, basis_masks: tuple[int, ...]) -> "Matroid":
@@ -117,7 +123,7 @@ class Matroid:
 
     def dual(self) -> "Matroid":
         full = full_mask(self.n)
-        return Matroid(self.n, (members_of(full & ~b) for b in self.basis_masks))
+        return Matroid._of_masks(self.n, canonical_order(full ^ b for b in self.basis_masks))
 
     @cached_property
     def circuit_masks(self) -> tuple[int, ...]:
@@ -132,12 +138,8 @@ class Matroid:
         circuits = dependent
         for shift, values, _ in covers:
             circuits &= ~(dependent << shift & values)
-        # of two equal-size member lists, the earlier holds the least element
-        # they differ in: its binary digits, read from element 1, sort later
         found = itertools.compress(range(1 << n), circuits.to_bytes(1 << n, "little"))
-        ordered = sorted(found, key=lambda m: bin(m)[:1:-1], reverse=True)
-        ordered.sort(key=int.bit_count)
-        return tuple(ordered)
+        return tuple(sorted(canonical_order(found), key=int.bit_count))
 
     @cached_property
     def circuits(self) -> tuple[frozenset[int], ...]:
@@ -186,11 +188,32 @@ class Matroid:
         return necklace.satisfies_axioms() and bases_from_necklace(necklace) == self
 
     def to_json(self) -> dict:
-        return {"n": self.n, "bases": [sorted(b) for b in self.bases]}
+        return {"n": self.n, "bases": list(map(sorted_members, self.basis_masks))}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Matroid":
-        return cls(obj["n"], [distinct_members(b, "basis") for b in json_list(obj["bases"], "bases")])
+        """The checked constructor's matroid, in one pass over the members
+        (``member_masks``) when nothing is at fault; otherwise the checked
+        route names the fault, with its messages and in its order."""
+        n, bases = obj["n"], json_list(obj["bases"], "bases")
+        masks = member_masks(bases, n)
+        if not masks:
+            return cls(n, [distinct_members(b, "basis") for b in bases])
+        return cls._of_masks(n, canonical_order(masks))
+
+
+def _lex_key(mask: int) -> str:
+    """A key whose reverse order is the lexicographic order of sorted member
+    lists: the binary digits from element 1 up, then "2".  Where two subsets
+    first differ, the one that holds the element comes first ("1" above
+    "0"), unless the other has run out of members ("2" above "1").  The
+    empty set's key is "2" alone, so it comes first of all."""
+    return bin(mask)[:1:-1] + "2" if mask else "2"
+
+
+def canonical_order(masks: Iterable[int]) -> tuple[int, ...]:
+    """The distinct masks in canonical order, the order of ``Matroid.basis_masks``."""
+    return tuple(sorted(set(masks), key=_lex_key, reverse=True))
 
 
 @lru_cache(maxsize=16)
@@ -300,7 +323,7 @@ def _cap_table(n: int, k: int) -> tuple[tuple[int, ...], tuple]:
     the caps on the arcs from bit s (``_arc_caps``): n*n*k big-int
     operations.
 
-    Only ``_basis_bits`` calls it, and only for n <= ``CACHED_N``.  Build
+    Only ``_cap_rows`` calls it, and only for n <= ``CACHED_N``.  Build
     time and footprint, Python 3.11: 0.06 ms and 5 KB at (6, 3), 0.2 ms and
     10 KB at (8, 4), 0.5 ms and 31 KB at (10, 5).  The 32 tables the cache
     holds cover every rank of every n from 6 to 8 at once (24 keys, 0.13 MB
@@ -318,13 +341,28 @@ def _cap_table(n: int, k: int) -> tuple[tuple[int, ...], tuple]:
     return subset_masks, rows
 
 
+def _cap_rows(n: int, k: int) -> tuple[tuple[int, ...], Callable[[int], tuple]]:
+    """The masks of the k-subsets of [n] and, for each start bit s, the
+    caps on the arcs from s (``_arc_caps``): from the cached ``_cap_table``
+    for n <= ``CACHED_N``; above it, each row is built when asked for and
+    not kept, so the memory held is one row, not n of them."""
+    if n <= CACHED_N:
+        subset_masks, rows = _cap_table(n, k)
+        return subset_masks, rows.__getitem__
+    subset_masks, has = _subsets(n, k)
+    return subset_masks, partial(_arc_caps, has, k=k, count=len(subset_masks))
+
+
+def _surviving(subset_masks: tuple[int, ...], alive: int) -> tuple[int, ...]:
+    """The masks of the subsets whose bits are set in alive, in order."""
+    return tuple(itertools.compress(subset_masks, bin(alive)[:1:-1].encode().translate(_SELECTORS)))
+
+
 def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[int, ...]:
     """The basis masks, in lexicographic order, of the positroid of the
     rank-k necklace with the given entry masks: a bitset over the k-subsets
-    of [n], every subset less those over some cap, decoded to the subsets'
-    masks.  The caps come from the cached ``_cap_table`` for n <= ``CACHED_N``;
-    above it, each row is built for the entry that needs one and dropped,
-    so the memory held is one row, not n of them.
+    of [n], every subset less those over some cap (``_cap_rows``), decoded
+    to the subsets' masks.
 
     I_i <=_i B says that, for each t from 0, the t-th member of B under <_i
     comes no earlier than the t-th member x of I_i: |B & P| <= t for the
@@ -332,12 +370,7 @@ def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[int, ...]:
     nothing and is skipped.  The prefixes kept are nonempty proper cyclic
     intervals, one per start and length, so no cap repeats.
     """
-    if n <= CACHED_N:
-        subset_masks, rows = _cap_table(n, k)
-        row_of = rows.__getitem__
-    else:
-        subset_masks, has = _subsets(n, k)
-        row_of = partial(_arc_caps, has, k=k, count=len(subset_masks))
+    subset_masks, row_of = _cap_rows(n, k)
     alive = (1 << len(subset_masks)) - 1
     full = full_mask(n)
     for i, entry in enumerate(masks):
@@ -356,7 +389,7 @@ def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[int, ...]:
             t += 1
     if not alive:
         raise ValueError("no subset dominates every necklace entry; invalid necklace")
-    return tuple(itertools.compress(subset_masks, bin(alive)[:1:-1].encode().translate(_SELECTORS)))
+    return _surviving(subset_masks, alive)
 
 
 def necklace_rank_table(n: int, k: int, masks: Iterable[int]) -> int:

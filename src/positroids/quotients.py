@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .arrows import _ccw_masks, _cw_masks
-from .cyclic import cyclic_components, full_mask, mask_of, members_of
+from .cyclic import cyclic_components, full_mask, mask_of, members_of, sorted_members
 from .decorated import DecoratedPermutation
 from .matroids import Matroid, byte_table_masks, positroid_of, subset_max
 
@@ -97,8 +97,8 @@ def is_quotient_rank(m: Matroid, n: Matroid) -> QuotientVerdict:
                     False,
                     {
                         "type": "rank",
-                        "A": sorted(members_of(a)),
-                        "B": sorted(members_of(b)),
+                        "A": sorted_members(a),
+                        "B": sorted_members(b),
                         "lhs": rm[b] - rm[a],
                         "rhs": rn[b] - rn[a],
                     },
@@ -135,7 +135,7 @@ def is_quotient_circuits(m: Matroid, n: Matroid) -> QuotientVerdict:
     circuit, union = uncovered
     return QuotientVerdict(
         False,
-        {"type": "circuit", "circuit": sorted(members_of(circuit)), "union": sorted(members_of(union))},
+        {"type": "circuit", "circuit": sorted_members(circuit), "union": sorted_members(union)},
     )
 
 
@@ -166,7 +166,7 @@ def is_quotient_of_uniform(dp: DecoratedPermutation, k: int) -> QuotientVerdict:
                 {
                     "type": "arrows",
                     "starts": list(starts),
-                    "union": sorted(members_of(union)),
+                    "union": sorted_members(union),
                     "union_size": union.bit_count(),
                     "required": k + 1,
                 },

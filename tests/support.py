@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from positroids import (
     DecoratedPermutation,
+    Lpm,
     all_decorated_permutations,
     bases_from_necklace,
     containment_check,
@@ -213,6 +214,18 @@ def gale_filter_bases(necklace: GrassmannNecklace) -> Matroid:
     if not found:
         raise ValueError("no subset dominates every necklace entry; invalid necklace")
     return Matroid(n, found)
+
+
+def lpm_filter_bases(p: Lpm) -> Matroid:
+    """``lpm_bases`` by filtering every k-subset through the bounds
+    u_t <= b_t <= l_t on the sorted U and L, into the checked constructor."""
+    upper, lower = sorted(p.U), sorted(p.L)
+    found = [
+        combo
+        for combo in itertools.combinations(range(1, p.n + 1), p.k)
+        if all(u <= b <= l for u, b, l in zip(upper, combo, lower))
+    ]
+    return Matroid(p.n, found)
 
 
 def sorted_gale_extremum(i, family, n, maximum: bool) -> frozenset[int]:
@@ -567,6 +580,16 @@ def equicardinal_families(draw, max_n=9):
         if not family:
             family = set(positroid_of(dp).bases)
     return Matroid(n, family)
+
+
+@st.composite
+def lpms(draw, min_n=1, max_n=8):
+    """An Lpm of any rank 0..n: U and L are the componentwise minimum and
+    maximum of two k-subsets drawn independently."""
+    n = draw(st.integers(min_n, max_n))
+    k = draw(st.integers(0, n))
+    a, b = (sorted(draw(st.sets(st.integers(1, n), min_size=k, max_size=k))) for _ in range(2))
+    return Lpm(n, map(min, a, b), map(max, a, b))
 
 
 @st.composite

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from positroids import uniform_dp
+from positroids import all_decorated_permutations, all_lpms, uniform_dp
 from positroids.cli import main
 
 
@@ -35,6 +35,32 @@ class TestConvert:
         assert code == 0
         bases = json.loads(out)["bases"]
         assert [1, 4] in bases and [5, 7] in bases and [1, 2] not in bases
+
+    # (outputs, sha256 of stdout) of ``convert --to matroid`` over every LPM
+    # on [1..6] and every decorated permutation on [1..5], each in order
+    @pytest.mark.parametrize(
+        "source, inputs, pinned",
+        [
+            (
+                "lpm",
+                lambda: (json.dumps(p.to_json()) for n in range(1, 7) for k in range(n + 1) for p in all_lpms(k, n)),
+                (624, "eaf0e6a86fb2b1f8279ac14d3afdd55e4b028c13eea0aba9475a8bf5da5be876"),
+            ),
+            (
+                "dp",
+                lambda: (dp.to_text() for n in range(1, 6) for dp in all_decorated_permutations(n)),
+                (414, "180b8e2a92d15cf74f12bd3709d1ddd1e5fce9af7b54a4b1debc5642f6a79d93"),
+            ),
+        ],
+    )
+    def test_to_matroid_bytes_are_pinned(self, capsys, source, inputs, pinned):
+        digest, count = hashlib.sha256(), 0
+        for payload in inputs():
+            code, out, _ = run(capsys, "convert", "--from", source, "--to", "matroid", "--input", payload)
+            assert code == 0
+            digest.update(out.encode())
+            count += 1
+        assert (count, digest.hexdigest()) == pinned
 
     def test_matroid_to_lpm(self, capsys):
         _, m_json, _ = run(
@@ -230,6 +256,17 @@ class TestShiftCommands:
         code, out, err = run(capsys, "shift", "--dp", dp)
         assert (code, out) == (2, "")
         assert err == f"error: bad decorated permutation token {token!r}\n"
+
+    @pytest.mark.parametrize("digits", ["1" * 5000, "1" * 5000 + "o", "7" * 4400 + "c"])
+    def test_shift_names_an_over_long_token(self, capsys, digits):
+        code, out, err = run(capsys, "shift", "--dp", f"2 {digits} 1")
+        assert (code, out) == (2, "")
+        shown = f"{digits[:8]}...{digits[-8:]}"
+        assert err == f"error: bad decorated permutation token {shown!r} of {len(digits)} characters\n"
+
+    def test_shift_reads_a_long_run_of_leading_zeros(self, capsys):
+        code, out, _ = run(capsys, "shift", "--dp", "0" * 5000 + "2 " + "0" * 5000 + "1")
+        assert (code, out.strip()) == (0, "1o 2o")
 
     def test_recover_shift(self, capsys):
         _, shifted, _ = run(capsys, "shift", "--dp", "5 6 7 8 1 2 3 4", "--freeze", "1,3,5,8")

@@ -68,6 +68,19 @@ class TestValidation:
 
     def test_text_accepts_leading_zeros(self):
         assert DecoratedPermutation.from_text("01o 002c") == DecoratedPermutation((1, 2), (1, -1))
+        # more zeros than int() converts digits
+        zeros = "0" * 5000
+        assert DecoratedPermutation.from_text(f"{zeros}1o {zeros}2c") == DecoratedPermutation((1, 2), (1, -1))
+        with pytest.raises(ValueError, match="^element 0 out of range 1..1$"):
+            DecoratedPermutation.from_text(zeros)
+
+    @pytest.mark.parametrize("token", ["1" * 5000, "9" * 4301 + "o", "1" + "0" * 5000 + "c"])
+    def test_text_names_an_over_long_token(self, token):
+        # a value too long for int() is refused by the token, shortened
+        shown = f"{token[:8]}...{token[-8:]}"
+        with pytest.raises(ValueError) as exc:
+            DecoratedPermutation.from_text(f"2 {token} 1")
+        assert str(exc.value) == f"bad decorated permutation token {shown!r} of {len(token)} characters"
 
     def test_text_messages_in_order(self):
         # a bad token anywhere comes first, then emptiness, the ground size,

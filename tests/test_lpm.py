@@ -1,8 +1,11 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
 
 import support
+from positroids import cyclic, lpm, matroids
 from positroids import (
     Lpm,
     all_lpms,
@@ -34,6 +37,35 @@ class TestConstruction:
     def test_json_round_trip(self):
         assert Lpm.from_json(SUB.to_json()) == SUB
         assert SUB.to_json() == {"n": 7, "U": [1, 4], "L": [5, 7]}
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"n":5,"U":[2,3],"L":[1,4]}', "U=[2, 3] is not below L=[1, 4] in the Gale order at 1"),
+            ('{"n":5,"U":[3,1],"L":[2,1]}', "U=[1, 3] is not below L=[1, 2] in the Gale order at 1"),
+            ('{"n":5,"U":[1],"L":[1,2]}', "|U|=1 and |L|=2 must agree"),
+            ('{"n":5,"U":[1,1],"L":[2,3]}', "U [1, 1] repeats an element"),
+            ('{"n":5,"U":[1,true],"L":[2,3]}', "U [1, True] repeats an element"),
+            ('{"n":5,"U":"x","L":[]}', "U 'x' is not a list"),
+            ('{"n":0,"U":[1],"L":[1]}', "ground set size must be an integer in 1..64, got 0"),
+            ('{"n":5,"U":[true],"L":[2]}', "element True out of range 1..5"),
+            ('{"n":5,"U":[1],"L":[true]}', "element True out of range 1..5"),
+            ('{"n":5,"U":[0],"L":[1]}', "element 0 out of range 1..5"),
+            ('{"n":5,"U":[1,2],"L":[1,2.5]}', "element 2.5 out of range 1..5"),
+            # 2.0 equals 2 and hides in the union, so the sizes come first ...
+            ('{"n":5,"U":[2],"L":[2.0,3]}', "|U|=1 and |L|=2 must agree"),
+            # ... and then the element, ahead of the Gale order
+            ('{"n":5,"U":[2],"L":[2.0]}', "element 2.0 out of range 1..5"),
+            ('{"n":5,"U":[1,2],"L":[1,2.0]}', "element 2.0 out of range 1..5"),
+            ('{"n":5,"U":[2.0],"L":[2]}', "element 2.0 out of range 1..5"),
+            ('{"n":5,"U":[6],"L":[1,2]}', "element 6 out of range 1..5"),
+            ('{"n":5,"U":[9],"L":[7]}', "element 9 out of range 1..5"),
+        ],
+    )
+    def test_messages_in_order(self, payload, message):
+        with pytest.raises(ValueError) as got:
+            Lpm.from_json(json.loads(payload))
+        assert str(got.value) == message
 
 
 class TestBases:
@@ -70,6 +102,38 @@ class TestBases:
                         if support.naive_gale_leq(1, p.U, c, n) and support.naive_gale_leq(1, c, p.L, n)
                     }
                     assert set(lpm_bases(p).bases) == expected, p
+                    assert lpm_bases(p) == support.lpm_filter_bases(p), p
+
+
+class TestCapKernel:
+    """lpm_bases applies the Gale sandwich as caps from the positroid cap
+    table; the combination filter is the oracle (every LPM up to n = 7 in
+    TestBases)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(support.lpms(max_n=matroids.CACHED_N + 2))
+    def test_drawn_lpms_across_the_cached_sizes(self, p):
+        # above CACHED_N the cap rows are built per call
+        assert lpm_bases.__wrapped__(p) == support.lpm_filter_bases(p)
+
+    def test_builds_without_checks(self, monkeypatch):
+        lpms = [p for k in range(7) for p in all_lpms(k, 6)]
+        expected = [support.lpm_filter_bases(p).basis_masks for p in lpms]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("lpm_bases checked or re-encoded its bases")
+
+        for module, name in (
+            (cyclic, "bits_of"),
+            (cyclic, "check_members"),
+            (cyclic, "member_masks"),
+            (matroids, "check_members"),
+            (matroids, "member_masks"),
+            (lpm, "check_members"),
+            (lpm, "check_element"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        assert [lpm_bases.__wrapped__(p).basis_masks for p in lpms] == expected
 
 
 class TestEndpointLaw:

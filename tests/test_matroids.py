@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -481,3 +482,52 @@ class TestJson:
     def test_bases_sorted_lexicographically(self):
         obj = Matroid(4, [{2, 4}, {1, 3}, {1, 2}]).to_json()
         assert obj == {"n": 4, "bases": [[1, 2], [1, 3], [2, 4]]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_checked_order_is_sorted_member_lists(self, data):
+        # mixed sizes, the empty set and repeated bases, given as lists
+        n = data.draw(st.integers(1, 9))
+        basis = st.lists(st.integers(1, n), unique=True, max_size=n)
+        bases = data.draw(st.lists(basis, min_size=1, max_size=12))
+        bases += data.draw(st.lists(st.sampled_from(bases), max_size=3)) + data.draw(st.sampled_from([[], [[]]]))
+        expected = [sorted(b) for b in sorted({frozenset(b) for b in bases}, key=sorted)]
+        for m in (Matroid(n, map(set, bases)), Matroid.from_json({"n": n, "bases": bases})):
+            assert m.to_json() == {"n": n, "bases": expected}
+            assert m.basis_masks == tuple(mask_of(b, n) for b in expected)
+            assert m.bases == tuple(map(frozenset, expected))
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"n": 5, "bases": [[1, 2], [1, 9]]}', "element 9 out of range 1..5"),
+            ('{"n": 5, "bases": [[7, 9]]}', "element 9 out of range 1..5"),
+            ('{"n": 5, "bases": [[1], [9, 7]]}', "element 9 out of range 1..5"),
+            ('{"n": 5, "bases": [[0]]}', "element 0 out of range 1..5"),
+            ('{"n": 5, "bases": [[-1]]}', "element -1 out of range 1..5"),
+            ('{"n": 5, "bases": [[1000000000000000000000000000000]]}', "element 10" + "0" * 29 + " out of range 1..5"),
+            ('{"n": 5, "bases": [["3"]]}', "element '3' out of range 1..5"),
+            ('{"n": 5, "bases": [[null]]}', "element None out of range 1..5"),
+            ('{"n": 5, "bases": [[2, true]]}', "element True out of range 1..5"),
+            ('{"n": 5, "bases": [[2.0, 1]]}', "element 2.0 out of range 1..5"),
+            ('{"n": 5, "bases": [[1, 2], [1, 1]]}', "basis [1, 1] repeats an element"),
+            ('{"n": 5, "bases": [[1, true]]}', "basis [1, True] repeats an element"),
+            ('{"n": 5, "bases": [[2, 2.0]]}', "basis [2, 2.0] repeats an element"),
+            ('{"n": 5, "bases": []}', "a matroid needs at least one basis"),
+            ('{"n": 5, "bases": "x"}', "bases 'x' is not a list"),
+            ('{"n": 5, "bases": [[1], 3]}', "basis 3 is not a list"),
+            ('{"n": 0, "bases": [[1]]}', "ground set size must be an integer in 1..64, got 0"),
+            ('{"n": true, "bases": [[1]]}', "ground set size must be an integer in 1..64, got True"),
+            ('{"n": 5.0, "bases": [[1]]}', "ground set size must be an integer in 1..64, got 5.0"),
+            # the order: list and repeat checks per basis, then n, then the
+            # family, then the elements
+            ('{"n": 5, "bases": [[9], [1, 1]]}', "basis [1, 1] repeats an element"),
+            ('{"n": 0, "bases": [[1, 1]]}', "basis [1, 1] repeats an element"),
+            ('{"n": 0, "bases": []}', "ground set size must be an integer in 1..64, got 0"),
+            ('{"n": 0, "bases": [[9]]}', "ground set size must be an integer in 1..64, got 0"),
+        ],
+    )
+    def test_messages_in_order(self, payload, message):
+        with pytest.raises(ValueError) as got:
+            Matroid.from_json(json.loads(payload))
+        assert str(got.value) == message
