@@ -73,11 +73,21 @@ def _parse_dp(payload: str) -> DecoratedPermutation:
     return DecoratedPermutation.from_text(payload)
 
 
+def _integer(token: str, refusal: str, least: int | None = None) -> int:
+    """The int a number on the command line or in POSITROID_MAX_N spells: an
+    optional minus sign, then ASCII digits, blanks around allowed.  Other
+    text, or a value below ``least``, raises "{refusal}, got {token!r}"."""
+    digits = token.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()) or least is not None and int(token) < least:
+        raise ValueError(f"{refusal}, got {token!r}")
+    return int(token)
+
+
 def _parse_freeze(text: str) -> frozenset[int]:
     text = text.strip()
     if not text:
         return frozenset()
-    return frozenset(int(tok) for tok in text.split(","))
+    return frozenset(_integer(tok, "--freeze takes comma-separated integers") for tok in text.split(","))
 
 
 def _family(kind: str, payload: str) -> Matroid:
@@ -141,8 +151,9 @@ def _cmd_check_quotient(args) -> int:
 
 
 def _cmd_check_uniform(args) -> int:
+    k = _integer(args.k, "--k must be an integer")
     dp = _parse_dp(_payload(args.dp))
-    return _emit_verdict(is_quotient_of_uniform(dp, args.k), args.json, "quotient of uniform")
+    return _emit_verdict(is_quotient_of_uniform(dp, k), args.json, "quotient of uniform")
 
 
 def _cmd_check_lpm(args) -> int:
@@ -177,15 +188,15 @@ def _cmd_arrows(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    k = None if args.k is None else _integer(args.k, "--k must be an integer")
+    n = _integer(args.n, "--n must be an integer")
     default = CENSUS_KINDS[args.what][0]
     env = os.environ.get("POSITROID_MAX_N")
-    if env is not None and not (env.strip().isdecimal() and int(env) > 0):
-        raise ValueError(f"POSITROID_MAX_N must be a positive integer, got {env!r}")
-    bound = default if env is None else int(env)
-    records = census_records(args.what, args.k, args.n, max_n=bound)
-    if args.n > default:
+    bound = default if env is None else _integer(env, "POSITROID_MAX_N must be a positive integer", least=1)
+    records = census_records(args.what, k, n, max_n=bound)
+    if n > default:
         print(
-            f"warning: n={args.n} exceeds the supported bound {default}; "
+            f"warning: n={n} exceeds the supported bound {default}; "
             f"proceeding because POSITROID_MAX_N={env} (this may take very long)",
             file=sys.stderr,
         )
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-uniform", parents=[common], help="CW-arrow check against U_{k,n}")
     p.add_argument("--dp", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     p.set_defaults(fn=_cmd_check_uniform)
 
     p = sub.add_parser("check-lpm-quotient", parents=[common], help="lattice path matroid check")
@@ -262,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="write a census as JSON lines")
     p.add_argument("--what", choices=tuple(CENSUS_KINDS), required=True)
-    p.add_argument("--k", type=int, default=None, help="rank; every rank when omitted")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", default=None, help="rank; every rank when omitted")
+    p.add_argument("--n", required=True)
     p.add_argument("--out", default=None, help="output path, or - for stdout")
     p.set_defaults(fn=_cmd_enumerate)
 

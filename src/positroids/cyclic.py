@@ -9,11 +9,10 @@ Conventions used throughout the package:
 * ``<_i`` denotes the rotated total order i < i+1 < ... < n < 1 < ... < i-1;
 * the half-open cyclic interval (i, i] is empty.
 
-Gale extrema are bitmask kernels too: ``gale_extrema`` reads the minimum
-(maximum) under <_i off the prefix (suffix) counts of a family of masks at
-once and returns masks, and ``gale_min``/``gale_max`` decode its one answer
-for one i.  The sorted-tuple search it replaces is kept as an oracle in
-``tests/support.py``.
+``gale_extrema`` reads the Gale minimum (maximum) under <_i off the prefix
+(suffix) counts of a family of masks at once, and ``gale_min``/``gale_max``
+decode its one answer for one i.  An error message shows a long value cut
+short (``shown``).
 """
 from __future__ import annotations
 
@@ -36,9 +35,20 @@ def check_ground(n: int) -> None:
         raise ValueError(f"ground set size must be an integer in 1..{MAX_GROUND}, got {n!r}")
 
 
+def shown(value) -> str:
+    """repr(value) for an error message; one longer than 80 characters is
+    cut to its first and last 8 characters and its length."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    if isinstance(value, str):
+        return f"{value[:8] + '...' + value[-8:]!r} of {len(value)} characters"
+    return f"{text[:8]}...{text[-8:]} of {len(text)} characters"
+
+
 def check_element(x: int, n: int) -> None:
     if type(x) is not int or not 1 <= x <= n:
-        raise ValueError(f"element {x!r} out of range 1..{n}")
+        raise ValueError(f"element {shown(x)} out of range 1..{n}")
 
 
 def check_rank(k: int, n: int) -> None:
@@ -49,22 +59,11 @@ def check_rank(k: int, n: int) -> None:
 
 
 def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
-    """check_element on the members of the given sets, each value once.
-
-    A union compares by value, so a non-int equal to an int (2.0 or True)
-    would hide behind it; one pass over the member types sends such input
-    to the element-by-element check instead.  Ints are checked by their
-    minimum and maximum, and one by one only to name the first bad value.
-    """
-    sets = tuple(sets)
-    if set(map(type, itertools.chain.from_iterable(sets))) <= {int}:
-        members = frozenset().union(*sets)
-        if not members or 1 <= min(members) and max(members) <= n:
-            return
-    else:
-        members = itertools.chain.from_iterable(sets)
-    for x in members:
-        check_element(x, n)
+    """check_element on every member of the given sets, set by set, so a
+    non-int equal to an int (2.0 or True) is named, not hidden in a union."""
+    for members in sets:
+        for x in members:
+            check_element(x, n)
 
 
 def member_masks(lists: list, n: int) -> list[int] | None:
@@ -133,15 +132,6 @@ def arc_mask(n: int, a: int, b: int) -> int:
     return full_mask(n) ^ ((1 << (a - 1)) - (1 << b))
 
 
-def members_of(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length())
-        mask ^= low
-    return frozenset(out)
-
-
 def sorted_members(mask: int) -> list[int]:
     """The members of a mask in increasing order."""
     out = []
@@ -150,6 +140,10 @@ def sorted_members(mask: int) -> list[int]:
         out.append(low.bit_length())
         mask ^= low
     return out
+
+
+def members_of(mask: int) -> frozenset[int]:
+    return frozenset(sorted_members(mask))
 
 
 def cyclic_pos(i: int, a: int, n: int) -> int:

@@ -9,13 +9,12 @@ the compact encoding of positroids used everywhere in this package.
 Necklaces and conecklaces share the untagged type ``GrassmannNecklace``;
 which one a value is follows from the property that made it.  Both are
 stored as the entry masks the kernels hand over unchecked, which the axiom
-check and ``from_necklace`` read; the set routes are oracles in
-``tests/support.py``.  Images, colours and n must be ints: a JSON ``true``
-is refused, not read as 1.  The library's producers hand valid decorated
-permutations to ``DecoratedPermutation._of``, which checks nothing.  A text
-token is ASCII digits, then an optional ``o`` or ``c``; ``from_text``
-checks the whole permutation once, and the token-by-token parser it
-replaces is an oracle in ``tests/support.py``.
+check, ``from_necklace`` and ``anti_exceedances`` read.  Images, colours and
+n must be ints: a JSON ``true`` is refused, not read as 1.  The library's
+producers hand valid decorated permutations to ``DecoratedPermutation._of``,
+which checks nothing.  A text token is ASCII digits, then an optional ``o``
+or ``c``; ``from_text`` reads the tokens, then checks the whole permutation
+once with ``is_valid``.
 """
 from __future__ import annotations
 
@@ -32,12 +31,12 @@ from .cyclic import (
     check_ground,
     check_members,
     check_rank,
-    cyclic_pos,
     distinct_members,
     full_mask,
     json_list,
     mask_of,
     members_of,
+    shown,
 )
 
 LOOP = 1
@@ -168,9 +167,8 @@ class DecoratedPermutation:
 
     def is_valid(self) -> bool:
         """Bijectivity plus the decoration rule: col is 0 exactly off fixed points."""
-        if sorted(self.perm) != list(range(1, self.n + 1)):
-            return False
-        return all((c == 0) == (v != i) for i, (v, c) in enumerate(zip(self.perm, self.col), start=1))
+        perm, ground = self.perm, range(1, len(self.perm) + 1)
+        return sorted(perm) == list(ground) and list(map(bool, self.col)) == list(map(operator.eq, perm, ground))
 
     @property
     def loops(self) -> frozenset[int]:
@@ -182,14 +180,8 @@ class DecoratedPermutation:
 
     def anti_exceedances(self, i: int) -> frozenset[int]:
         """W_i = { j : j <_i perm^{-1}(j), or j is a coloop }, the i-th necklace entry."""
-        n = self.n
-        check_element(i, n)
-        inv = self.inverse
-        return frozenset(
-            j
-            for j in range(1, n + 1)
-            if self.col[j - 1] == COLOOP or cyclic_pos(i, j, n) < cyclic_pos(i, inv[j - 1], n)
-        )
+        check_element(i, self.n)
+        return members_of(self.necklace.masks[i - 1])
 
     @cached_property
     def necklace(self) -> GrassmannNecklace:
@@ -276,20 +268,19 @@ class DecoratedPermutation:
     @classmethod
     def from_text(cls, text: str) -> "DecoratedPermutation":
         """Tokens that ``to_text`` writes come from a table, others from
-        ``_token``; then one check of the whole, with the constructor's and
-        ``is_valid``'s messages."""
+        ``_token``; then the ground size and ``is_valid`` on the whole, and
+        only when that fails the elements, for the constructor's message."""
         tokens = [_TOKENS.get(token) or _token(token) for token in text.split()]
         if not tokens:
             raise ValueError("empty decorated permutation text")
         perm, col = map(tuple, zip(*tokens))
-        n = len(perm)
-        check_ground(n)
-        ground = range(1, n + 1)
-        if sorted(perm) != list(ground) or list(map(bool, col)) != list(map(operator.eq, perm, ground)):
+        check_ground(len(perm))
+        dp = cls._of(perm, col)
+        if not dp.is_valid():
             for x in perm:
-                check_element(x, n)
-            raise ValueError(f"invalid decorated permutation {text!r}")
-        return cls._of(perm, col)
+                check_element(x, len(perm))
+            raise ValueError(f"invalid decorated permutation {shown(text)}")
+        return dp
 
     def to_json(self) -> dict:
         return {"n": self.n, "perm": list(self.perm), "col": list(self.col)}
@@ -310,16 +301,15 @@ class DecoratedPermutation:
 
 def _token(token: str) -> tuple[int, int]:
     """(value, colour) of a token outside ``_TOKENS``, leading zeros allowed.
-    A digit run longer than ``int`` converts is refused by name, shortened."""
+    A digit run longer than ``int`` converts is refused like any bad token."""
     suffix = token[-1] if token[-1] in "oc" else ""
     digits = token[: len(token) - len(suffix)]
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"bad decorated permutation token {token!r}")
-    try:
-        return int(digits.lstrip("0") or "0"), _COL_OF_SUFFIX[suffix]
-    except ValueError:
-        shown = f"{token[:8]}...{token[-8:]}"
-        raise ValueError(f"bad decorated permutation token {shown!r} of {len(token)} characters") from None
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(digits.lstrip("0") or "0"), _COL_OF_SUFFIX[suffix]
+        except ValueError:
+            pass
+    raise ValueError(f"bad decorated permutation token {shown(token)}")
 
 
 def necklace_masks(perm: tuple[int, ...], col: tuple[int, ...]) -> tuple[int, ...]:

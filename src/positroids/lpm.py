@@ -5,12 +5,11 @@ k-subset in the Gale order at 1, which compares sorted tuples componentwise:
 B is a basis exactly when u_t <= b_t <= l_t at every position t.  Each
 bound is a rank cap on an arc (fewer than t members before u_t, at most
 k - t after l_t), so ``lpm_bases`` applies them as ANDs with bitsets of the
-positroid cap table, the kernel ``bases_from_necklace`` uses; the
-combination filter it replaces is an oracle in ``tests/support.py``.  The
-caps come from U and L alone, not from a necklace, and the necklaces and
+positroid cap table, the kernel ``bases_from_necklace`` uses.  The caps
+come from U and L alone, not from a necklace, and the necklaces and
 conecklaces of LPMs are the generic matroid ones (Gale minima and maxima
 over the explicit bases, ``cyclic.gale_extrema``), so the fast pairing
-criterion is still checked against independently produced data.
+criterion is checked against independently produced data.
 """
 from __future__ import annotations
 
@@ -87,7 +86,8 @@ def lpm_quotient_greedy(sub: Lpm, sup: Lpm) -> QuotientVerdict:
     Requires U' inside U and L' inside L; then the s-th smallest elements of
     U - U' and L - L', at 1-based positions i_s in sorted U and j_s in
     sorted L, must satisfy j_s <= i_s and u_{i_s} - l_{j_s} <= i_s - j_s.
-    Both difference sequences are increasing, so the pairing is forced.
+    Both difference sequences are increasing, so the pairing is forced, and
+    as every Lpm has |U| = |L| they are equally long.
     """
     if sub.n != sup.n:
         raise ValueError("ground-set mismatch")
@@ -99,8 +99,6 @@ def lpm_quotient_greedy(sub: Lpm, sup: Lpm) -> QuotientVerdict:
     l_sorted = sorted(sup.L)
     u_diff = sorted(sup.U - sub.U)
     l_diff = sorted(sup.L - sub.L)
-    if len(u_diff) != len(l_diff):
-        return QuotientVerdict(False, {"type": "containment", "which": "sizes"})
     for s, (u, l) in enumerate(zip(u_diff, l_diff), start=1):
         i_s = u_sorted.index(u) + 1
         j_s = l_sorted.index(l) + 1

@@ -15,11 +15,8 @@ shares: ``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and
 ``necklace_rank_table`` builds the same int from necklace masks for the
 flag-pair sweep; circuits are packed passes over the independence table it
 starts from.  The necklace and conecklace are the masks that
-``cyclic.gale_extrema`` finds, taken unchecked.  The direct routes these
-replace (the Gale-order filter, max over bases, the sorted-tuple Gale
-extremum, the exchange axiom ahead of the closure, the subset-by-subset
-circuit search) are oracles in ``tests/support.py``.  ``is_valid``, kept
-for outside input, is a direct pairwise exchange check.
+``cyclic.gale_extrema`` finds, taken unchecked.  ``is_valid``, for
+outside input, is a direct pairwise exchange check.
 """
 from __future__ import annotations
 
@@ -286,15 +283,11 @@ def _subsets(n: int, k: int) -> tuple[tuple[int, ...], list[int]]:
     each element x the bitset of those that hold x (bit c for the c-th
     subset)."""
     subsets = list(itertools.combinations(range(1, n + 1), k))
-    # digits[x - 1]: the binary digits of has[x], highest bit first, marked
-    # from the members of each subset or, for k > n / 2, its fewer non-members
-    members = 2 * k <= n
-    ground = frozenset(range(1, n + 1))
-    digits = [bytearray(b"0" if members else b"1") * len(subsets) for _ in range(n)]
-    mark = ord("1" if members else "0")
+    # digits[x - 1]: the binary digits of has[x], highest bit first
+    digits = [bytearray(b"0") * len(subsets) for _ in range(n)]
     for c, b in enumerate(reversed(subsets)):
-        for x in b if members else ground.difference(b):
-            digits[x - 1][c] = mark
+        for x in b:
+            digits[x - 1][c] = 49  # ord("1")
     return tuple(map(bits_of, subsets)), [int(d, 2) for d in digits]
 
 

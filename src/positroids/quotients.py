@@ -5,8 +5,7 @@ circuit-union definition), the fast CW-arrow criterion for quotients of
 uniform matroids, cyclic-shift existence and recovery for elementary
 quotient pairs, necklace and conecklace containment checks, and the CCW
 covering condition.  The rank witness comes from one packed pass and a
-shift set from the agreement set of the two permutations; the nested-pair
-scan and the conecklace formula they replace are oracles in tests/support.py.
+shift set from the agreement set of the two permutations.
 """
 from __future__ import annotations
 

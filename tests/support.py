@@ -25,7 +25,7 @@ from positroids import (
     shift_interval,
 )
 from positroids.arrows import _ccw_masks
-from positroids.cyclic import check_element, check_ground, cyclic_pos, full_mask, gale_leq, mask_of
+from positroids.cyclic import check_element, check_ground, cyclic_pos, full_mask, gale_leq, mask_of, shown
 from positroids.decorated import COLOOP, LOOP, GrassmannNecklace
 from positroids.matroids import Matroid
 
@@ -130,6 +130,17 @@ def conecklace_shift_set(pi: DecoratedPermutation, sigma: DecoratedPermutation) 
     return mask_members(full_mask(pi.n) & ~moved)
 
 
+def anti_exceedances(dp: DecoratedPermutation, i: int) -> frozenset[int]:
+    """The necklace entry I_i by its definition, W_i = { j : j <_i perm^{-1}(j),
+    or j is a coloop }, on sets."""
+    n, inv = dp.n, dp.inverse
+    return frozenset(
+        j
+        for j in range(1, n + 1)
+        if dp.col[j - 1] == COLOOP or cyclic_pos(i, j, n) < cyclic_pos(i, inv[j - 1], n)
+    )
+
+
 def set_axiom_violation(necklace: GrassmannNecklace) -> str | None:
     """``GrassmannNecklace._axiom_violation`` on the entries as sets, with
     the same messages."""
@@ -175,14 +186,14 @@ def checked_from_text(text: str) -> DecoratedPermutation:
         suffix = token[-1] if token[-1] in ("o", "c") else ""
         digits = token[: len(token) - len(suffix)]
         if not digits.isdigit():
-            raise ValueError(f"bad decorated permutation token {token!r}")
+            raise ValueError(f"bad decorated permutation token {shown(token)}")
         perm.append(int(digits))
         col.append({"": 0, "o": LOOP, "c": COLOOP}[suffix])
     if not perm:
         raise ValueError("empty decorated permutation text")
     dp = DecoratedPermutation(tuple(perm), tuple(col))
     if not dp.is_valid():
-        raise ValueError(f"invalid decorated permutation {text!r}")
+        raise ValueError(f"invalid decorated permutation {shown(text)}")
     return dp
 
 

@@ -19,6 +19,7 @@ from positroids.cyclic import CyclicInterval, full_mask, members_of
 
 DP_P = DecoratedPermutation.from_text("1o 5 4 6 2 3")
 DP_Q = DecoratedPermutation.from_text("6 2o 3o 4o 5o 1")
+COLOOPS = "cw is undefined in the presence of coloops "
 
 
 class TestArrowConstruction:
@@ -93,6 +94,19 @@ class TestCwCcwFunctions:
 class TestRankFormulas:
     def test_worked_interval_rank(self):
         assert rank_cyclic_interval(DP_P, CyclicInterval.arc(6, 3, 6)) == 2
+
+    @pytest.mark.parametrize(
+        "rank, dp, argument, message",
+        [
+            (rank_cyclic_interval, DP_P, CyclicInterval.arc(5, 1, 2), "ground-set mismatch"),
+            (rank_cyclic_interval, uniform_dp(6, 6), CyclicInterval.arc(6, 1, 2), COLOOPS + r"\[1, 2, 3, 4, 5, 6\]"),
+            (rank_upper_bound, DecoratedPermutation((1, 2), (-1, 1)), {2}, COLOOPS + r"\[1\]"),
+        ],
+        ids=["interval-ground-mismatch", "interval-coloops", "bound-coloops"],
+    )
+    def test_refusals(self, rank, dp, argument, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rank(dp, argument)
 
     def test_empty_interval(self):
         assert rank_cyclic_interval(DP_P, CyclicInterval.empty(6)) == 0

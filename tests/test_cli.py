@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import sys
 
 import pytest
 
@@ -111,6 +113,7 @@ class TestConvert:
             ("dp", '{"perm":[1,2],"col":[true,-1]}', "colour True not in {-1, 0, +1}"),
             ("dp", '{"perm":[1,2],"col":[1.0,-1]}', "colour 1.0 not in {-1, 0, +1}"),
             ("dp", '{"n":true,"perm":[1],"col":[-1]}', "inconsistent n True in decorated permutation payload of length 1"),
+            ("dp", '{"perm":[2,2],"col":[0,0]}', "invalid decorated permutation payload"),
             ("matroid", "no-such-m.json", "payload 'no-such-m.json' is neither JSON nor an existing file"),
             ("lpm", '{"n":3,', "payload '{\"n\":3,' is neither JSON nor an existing file"),
         ],
@@ -264,6 +267,22 @@ class TestShiftCommands:
         shown = f"{digits[:8]}...{digits[-8:]}"
         assert err == f"error: bad decorated permutation token {shown!r} of {len(digits)} characters\n"
 
+    def test_shift_shortens_a_long_value(self, capsys):
+        code, out, err = run(capsys, "shift", "--dp", "1" * 4300)
+        assert (code, out) == (2, "")
+        assert err == "error: element 11111111...11111111 of 4300 characters out of range 1..1\n"
+
+    def test_shift_reads_the_payload_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1o 6 5 4o 2 3 7c\n"))
+        code, out, _ = run(capsys, "shift", "--dp", "-", "--freeze", "2,4,7")
+        assert (code, out) == (0, "3 6 1 4o 5o 2 7c\n")
+
+    @pytest.mark.parametrize("freeze, token", [("\u0662,\u0664,\u0667", "\u0662"), ("x", "x"), ("1,,2", ""), ("+1", "+1")])
+    def test_shift_names_a_bad_freeze_token(self, capsys, freeze, token):
+        code, out, err = run(capsys, "shift", "--dp", "1o 6 5 4o 2 3 7c", "--freeze", freeze)
+        assert (code, out) == (2, "")
+        assert err == f"error: --freeze takes comma-separated integers, got {token!r}\n"
+
     def test_shift_reads_a_long_run_of_leading_zeros(self, capsys):
         code, out, _ = run(capsys, "shift", "--dp", "0" * 5000 + "2 " + "0" * 5000 + "1")
         assert (code, out.strip()) == (0, "1o 2o")
@@ -411,7 +430,7 @@ class TestEnumerate:
         assert err == "error: flag pair enumeration supports 1 <= n <= 7, got n=9\n"
         assert "proceeding" not in err
 
-    @pytest.mark.parametrize("value", ["abc", "-3", "0", ""])
+    @pytest.mark.parametrize("value", ["abc", "-3", "0", "", "\u0669"])
     def test_malformed_env_bound_is_named(self, capsys, monkeypatch, value):
         monkeypatch.setenv("POSITROID_MAX_N", value)
         code, out, err = run(capsys, "enumerate", "--what", "dps", "--n", "2")
@@ -433,6 +452,33 @@ class TestVerifyPaper:
         assert code == 0
         report = json.loads(out)
         assert report["ok"] is True
+
+
+class TestNumberOptions:
+    """--n, --k, --freeze and POSITROID_MAX_N take an optional minus sign and
+    ASCII digits, and name the option and the token otherwise."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("enumerate", "--what", "dps", "--n", "\u0663"), "--n must be an integer, got '\u0663'"),
+            (("enumerate", "--what", "dps", "--k", "x", "--n", "3"), "--k must be an integer, got 'x'"),
+            (("enumerate", "--what", "dps", "--n", "3.0"), "--n must be an integer, got '3.0'"),
+            (("check-uniform", "--dp", "2 1", "--k", "\u0664"), "--k must be an integer, got '\u0664'"),
+            (("check-uniform", "--dp", "2 1", "--k", "1_0"), "--k must be an integer, got '1_0'"),
+        ],
+    )
+    def test_non_ascii_or_malformed_number_is_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_blanks_and_a_minus_sign_still_parse(self, capsys, monkeypatch):
+        monkeypatch.setenv("POSITROID_MAX_N", " 9 ")
+        code, out, _ = run(capsys, "enumerate", "--what", "dps", "--k", " 1", "--n", "2 ")
+        assert (code, [json.loads(line)["dp"] for line in out.splitlines()]) == (0, ["1c 2o", "1o 2c", "2 1"])
+        code, _, err = run(capsys, "enumerate", "--what", "dps", "--k", "-1", "--n", "2")
+        assert (code, err) == (2, "error: rank -1 out of range 0..2\n")
 
 
 class TestExitCodeDiscipline:

@@ -7,6 +7,8 @@ import support
 from positroids.cyclic import (
     CyclicInterval,
     arc_mask,
+    check_element,
+    check_members,
     cyclic_components,
     cyclic_pos,
     gale_leq,
@@ -191,7 +193,46 @@ class TestGaleKernelAgainstOracle:
             gale_max(1, iter(()), 4)
 
 
+class TestElementChecks:
+    def test_members_are_checked_set_by_set(self):
+        # the first bad member met is named, not the least one of the union
+        with pytest.raises(ValueError, match=r"^element 7 out of range 1\.\.5$"):
+            check_members((frozenset({1, 7}), frozenset({6})), 5)
+        # a non-int equal to an int is named, not hidden behind the int
+        with pytest.raises(ValueError, match=r"^element 2\.0 out of range 1\.\.5$"):
+            check_members((frozenset({2}), frozenset({2.0})), 5)
+        check_members((frozenset({1, 5}), frozenset()), 5)
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [
+            (10**20, "100000000000000000000"),
+            (10**79, "1" + "0" * 79),
+            (10**80, "10000000...00000000 of 81 characters"),
+            (int("1" * 4300), "11111111...11111111 of 4300 characters"),
+            ("y" * 100, "'yyyyyyyy...yyyyyyyy' of 100 characters"),
+        ],
+        ids=["20-digits", "80-digits", "81-digits", "4300-digits", "long-str"],
+    )
+    def test_long_values_are_shortened(self, value, shown):
+        with pytest.raises(ValueError) as exc:
+            check_element(value, 5)
+        assert str(exc.value) == f"element {shown} out of range 1..5"
+
+
 class TestCyclicInterval:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((5, "wedge"), "unknown interval kind 'wedge'"),
+            ((5, "empty", 1, 2), "empty interval takes no endpoints"),
+            ((5, "full", 0, 3), "full interval takes no endpoints"),
+        ],
+    )
+    def test_refusals(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CyclicInterval(*args)
+
     def test_wraparound_members(self):
         assert CyclicInterval.arc(7, 6, 3).members() == {6, 7, 1, 2, 3}
 

@@ -74,13 +74,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="^element 0 out of range 1..1$"):
             DecoratedPermutation.from_text(zeros)
 
-    @pytest.mark.parametrize("token", ["1" * 5000, "9" * 4301 + "o", "1" + "0" * 5000 + "c"])
+    @pytest.mark.parametrize("token", ["1" * 5000, "9" * 4301 + "o", "1" + "0" * 5000 + "c", "x" * 81])
     def test_text_names_an_over_long_token(self, token):
-        # a value too long for int() is refused by the token, shortened
+        # a value too long for int(), like any long bad token, is refused shortened
         shown = f"{token[:8]}...{token[-8:]}"
         with pytest.raises(ValueError) as exc:
             DecoratedPermutation.from_text(f"2 {token} 1")
         assert str(exc.value) == f"bad decorated permutation token {shown!r} of {len(token)} characters"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0" * 5000 + "1", "invalid decorated permutation '00000000...00000001' of 5001 characters"),
+            ("1" * 4300, "element 11111111...11111111 of 4300 characters out of range 1..1"),
+            # a repr of up to 80 characters is shown whole
+            ("1o " * 26, f"invalid decorated permutation {'1o ' * 26!r}"),
+            ("1o " * 27, "invalid decorated permutation '1o 1o 1o...o 1o 1o ' of 81 characters"),
+        ],
+        ids=["long-text", "long-value", "80-character-repr", "81-character-text"],
+    )
+    def test_text_messages_shorten_long_values(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            DecoratedPermutation.from_text(text)
+        assert str(exc.value) == message
 
     def test_text_messages_in_order(self):
         # a bad token anywhere comes first, then emptiness, the ground size,
@@ -141,10 +157,10 @@ class TestNecklaces:
         # it entry by entry, and the O(n) rank
         for n in range(1, 8):
             for dp in dps(n):
-                expected = tuple(dp.anti_exceedances(i) for i in range(1, n + 1))
+                expected = tuple(support.anti_exceedances(dp, i) for i in range(1, n + 1))
                 assert necklace_masks(dp.perm, dp.col) == tuple(map(bits_of, expected)), dp
                 assert dp.necklace.entries == expected, dp
-                assert dp.rank == len(dp.anti_exceedances(1)), dp
+                assert dp.rank == len(expected[0]), dp
 
     def test_from_necklace_round_trip(self):
         neck = DP_15234.necklace
@@ -169,10 +185,28 @@ class TestNecklaces:
 
     @pytest.mark.parametrize("bad", [5, 0, "x", 2.0])
     def test_bad_element_in_last_entry(self, bad):
-        # the elements are checked once, over the union of the entries
+        # the elements are checked entry by entry, after the sizes
         entries = (frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4}), frozenset({4, bad}))
         with pytest.raises(ValueError, match=rf"^element {bad!r} out of range 1\.\.4$"):
             GrassmannNecklace(4, 2, entries)
+
+    def test_first_bad_element_met_is_named(self):
+        # entry 1 holds 5 and entry 2 holds 4: the entries are read in order
+        with pytest.raises(ValueError, match=r"^element 5 out of range 1\.\.3$"):
+            GrassmannNecklace(3, 1, ({5}, {4}, {1}))
+
+    @pytest.mark.parametrize(
+        "n, k, entries, message",
+        [
+            (3, 4, [{1}] * 3, "rank 4 out of range for n=3"),
+            (3, -1, [{1}] * 3, "rank -1 out of range for n=3"),
+            (3, 1, [{1}, {2}], "expected 3 entries, got 2"),
+            (2, 1, [{1}, {1, 2}], r"entry \[1, 2\] is not a 1-subset"),
+        ],
+    )
+    def test_shape_refusals(self, n, k, entries, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GrassmannNecklace(n, k, entries)
 
     @pytest.mark.parametrize("k", [True, 1.0])
     def test_non_int_rank_refused(self, k):
@@ -472,6 +506,10 @@ class TestShiftInterval:
         pi = DecoratedPermutation.from_text("1c 5 2 3 4")
         sigma = DecoratedPermutation((1, 5, 2, 3, 4), (1, 0, 0, 0, 0))
         assert shift_interval(pi, sigma, 1).kind == "full"
+
+    def test_ground_mismatch(self):
+        with pytest.raises(ValueError, match="^ground-set mismatch$"):
+            shift_interval(self.PI, uniform_dp(2, 5), 1)
 
 
 class TestContainmentLaws:

@@ -174,6 +174,10 @@ class TestQuotientCriteria:
         with pytest.raises(ValueError):
             lpm_quotient_greedy(SUB, Lpm(6, {1}, {6}))
 
+    def test_containment_refuses_a_ground_mismatch(self):
+        with pytest.raises(ValueError, match="^ground-set mismatch$"):
+            lpm_quotient_containment(SUB, Lpm(6, {1}, {6}))
+
     def test_triple_agreement_small(self):
         # greedy == containment == brute force on every ordered pair, n <= 5
         for n in range(1, 6):

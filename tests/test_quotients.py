@@ -258,6 +258,11 @@ class TestContainmentCheck:
         with pytest.raises(ValueError):
             containment_check(DP_P, uniform_dp(2, 5))
 
+    @pytest.mark.parametrize("check", [exists_shift, oh_xiang_condition])
+    def test_other_checks_refuse_a_ground_mismatch(self, check):
+        with pytest.raises(ValueError, match="^ground-set mismatch$"):
+            check(uniform_dp(3, 6), uniform_dp(2, 5))
+
     def test_necessity_on_flag_pairs(self, gap_sweep):
         for n in range(1, 6):
             assert gap_sweep(n).containment_failures == []
