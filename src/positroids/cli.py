@@ -6,8 +6,8 @@ failing known-answer check), 2 for malformed input or usage errors.  Every
 payload option accepts inline text or JSON, a file path, or ``-`` for stdin.
 
 ``convert`` pivots on the decorated permutation: each source becomes one
-(``_to_dp``), and each target is derived from it, except that a matroid or
-LPM converted to a matroid is printed as parsed, positroid or not.
+(``_to_dp``; an LPM's is ``Lpm.decorated_permutation``, with no basis) and
+each target comes from it, but a matroid to a matroid prints as parsed.
 ``enumerate`` takes its kinds and default bounds from
 ``enumeration.CENSUS_KINDS``, which ``census_records`` checks before the
 ``--out`` file is opened.
@@ -21,9 +21,10 @@ import os
 import sys
 
 from .arrows import ccw_arrows, cw_arrows
+from .cyclic import shown
 from .decorated import DecoratedPermutation, GrassmannNecklace
 from .enumeration import CENSUS_KINDS, census_records
-from .lpm import Lpm, lpm_bases, lpm_quotient_greedy
+from .lpm import Lpm, lpm_quotient_greedy
 from .matroids import Matroid, positroid_of
 from .quotients import (
     QuotientVerdict,
@@ -75,12 +76,15 @@ def _parse_dp(payload: str) -> DecoratedPermutation:
 
 def _integer(token: str, refusal: str, least: int | None = None) -> int:
     """The int a number on the command line or in POSITROID_MAX_N spells: an
-    optional minus sign, then ASCII digits, blanks around allowed.  Other
-    text, or a value below ``least``, raises "{refusal}, got {token!r}"."""
+    optional minus sign, then ASCII digits, blanks around allowed.  Other text,
+    digits ``int`` refuses or a value below ``least`` raise "{refusal}, got ..."."""
     digits = token.strip().removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()) or least is not None and int(token) < least:
-        raise ValueError(f"{refusal}, got {token!r}")
-    return int(token)
+    try:  # int() refuses a digit run longer than it converts
+        if digits.isascii() and digits.isdigit() and (least is None or int(token) >= least):
+            return int(token)
+    except ValueError:
+        pass
+    raise ValueError(f"{refusal}, got {shown(token)}")
 
 
 def _parse_freeze(text: str) -> frozenset[int]:
@@ -90,22 +94,17 @@ def _parse_freeze(text: str) -> frozenset[int]:
     return frozenset(_integer(tok, "--freeze takes comma-separated integers") for tok in text.split(","))
 
 
-def _family(kind: str, payload: str) -> Matroid:
-    """The basis family of a matroid or LPM payload, positroid or not."""
-    if kind == "matroid":
-        return _from_json(Matroid, payload)
-    return lpm_bases(_from_json(Lpm, payload))
-
-
 def _to_dp(kind: str, payload: str) -> DecoratedPermutation:
     """The decorated permutation of a payload of any kind: the pivot of
-    ``convert``.  A necklace must satisfy the axioms, and a matroid or LPM
-    must be a positroid."""
+    ``convert``.  A necklace must satisfy the axioms, and a matroid must be
+    a positroid."""
     if kind == "dp":
         return _parse_dp(payload)
     if kind == "necklace":
         return DecoratedPermutation.from_necklace(_from_json(GrassmannNecklace, payload))
-    m = _family(kind, payload)
+    if kind == "lpm":
+        return _from_json(Lpm, payload).decorated_permutation
+    m = _from_json(Matroid, payload)
     if not m.is_positroid():
         raise ValueError("matroid is not a positroid; no necklace form exists")
     return DecoratedPermutation.from_necklace(m.grassmann_necklace())
@@ -123,8 +122,8 @@ def _emit_verdict(verdict: QuotientVerdict, as_json: bool, label: str) -> int:
 
 def _cmd_convert(args) -> int:
     payload = _payload(args.input)
-    if args.to == "matroid" and args.source in ("matroid", "lpm"):
-        print(json.dumps(_family(args.source, payload).to_json()))
+    if args.to == "matroid" and args.source == "matroid":
+        print(json.dumps(_from_json(Matroid, payload).to_json()))
         return 0
     dp = _to_dp(args.source, payload)
     if args.to == "dp":
@@ -135,7 +134,7 @@ def _cmd_convert(args) -> int:
         print(json.dumps(positroid_of(dp).to_json()))
     else:
         candidate = Lpm(dp.n, dp.necklace.entries[0], dp.conecklace.entries[0])
-        if lpm_bases(candidate) != positroid_of(dp):
+        if candidate.decorated_permutation != dp:
             raise ValueError("positroid is not a lattice path matroid")
         print(json.dumps(candidate.to_json()))
     return 0

@@ -36,9 +36,12 @@ def check_ground(n: int) -> None:
 
 
 def shown(value) -> str:
-    """repr(value) for an error message; one longer than 80 characters is
-    cut to its first and last 8 characters and its length."""
-    text = repr(value)
+    """repr(value) for an error message, cut past 80 characters to its first and
+    last 8 and its length; an int too long for repr shows its bit length."""
+    try:
+        text = repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"int of {value.bit_length()} bits"
     if len(text) <= 80:
         return text
     if isinstance(value, str):

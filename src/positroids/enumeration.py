@@ -226,7 +226,7 @@ def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Itera
                 }
         elif what == "lpms":
             for p in all_lpms(rank, n, max_n):
-                count = len(lpm_bases(p).basis_masks)
+                count = len(lpm_bases.__wrapped__(p).basis_masks)  # each LPM once: caching would only fill memory
                 yield {"n": n, "k": rank, "U": sorted(p.U), "L": sorted(p.L), "basis_count": count}
         else:
             for sigma, pi, shift_set in elementary_flag_pairs(rank, n, max_n):

@@ -2,23 +2,24 @@
 
 An LPM is cut out of C([n], k) by sandwiching between an upper and a lower
 k-subset in the Gale order at 1, which compares sorted tuples componentwise:
-B is a basis exactly when u_t <= b_t <= l_t at every position t.  Each
-bound is a rank cap on an arc (fewer than t members before u_t, at most
-k - t after l_t), so ``lpm_bases`` applies them as ANDs with bitsets of the
-positroid cap table, the kernel ``bases_from_necklace`` uses.  The caps
-come from U and L alone, not from a necklace, and the necklaces and
-conecklaces of LPMs are the generic matroid ones (Gale minima and maxima
-over the explicit bases, ``cyclic.gale_extrema``), so the fast pairing
-criterion is checked against independently produced data.
+B is a basis exactly when u_t <= b_t <= l_t at every position t.  An LPM
+is a positroid whose decorated permutation ``Lpm.decorated_permutation``
+reads off (U, L) in O(n); the containment criterion and the CLI take it,
+not bases.  Only the basis list needs bases: each bound is a rank cap on an
+arc (fewer than t members before u_t, at most k - t after l_t), so
+``lpm_bases`` applies them as ANDs with bitsets of the positroid cap table,
+the kernel ``bases_from_necklace`` uses.  The pairing criterion compares U
+and L directly, the containment criterion the permutations' masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import le
 from typing import Iterable
 
 from .cyclic import CACHE_SIZE, check_element, check_ground, check_members, distinct_members
+from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .matroids import Matroid, _cap_rows, _surviving
 from .quotients import QuotientVerdict
 
@@ -56,6 +57,18 @@ class Lpm:
     @classmethod
     def from_json(cls, obj: dict) -> "Lpm":
         return cls(obj["n"], distinct_members(obj["U"], "U"), distinct_members(obj["L"], "L"))
+
+    @cached_property
+    def decorated_permutation(self) -> DecoratedPermutation:
+        """M[U, L], the transversal matroid of the intervals [u_t, l_t]
+        (Bonin-de Mier-Noy): the t-th member of L -> that of U, a coloop if
+        equal, and the t-th non-member of L -> that of U, a loop if equal."""
+        perm, col = [0] * self.n, [0] * self.n
+        ground = frozenset(range(1, self.n + 1))
+        for sources, images, fixed in ((self.L, self.U, COLOOP), (ground - self.L, ground - self.U, LOOP)):
+            for i, v in zip(sorted(sources), sorted(images)):
+                perm[i - 1], col[i - 1] = v, fixed if i == v else 0
+        return DecoratedPermutation._of(tuple(perm), tuple(col))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -111,17 +124,16 @@ def lpm_quotient_greedy(sub: Lpm, sup: Lpm) -> QuotientVerdict:
 
 
 def lpm_quotient_containment(sub: Lpm, sup: Lpm) -> QuotientVerdict:
-    """Necklace plus conecklace containment of the induced positroids.
+    """Necklace plus conecklace containment of the LPMs' decorated permutations.
 
     For lattice path matroids this is equivalent to the quotient relation
     (and to the pairing criterion); either containment alone is not enough.
     """
     if sub.n != sup.n:
         raise ValueError("ground-set mismatch")
-    m_sub = lpm_bases(sub)
-    m_sup = lpm_bases(sup)
-    for kind, entries in (("necklace", Matroid.grassmann_necklace), ("conecklace", Matroid.grassmann_conecklace)):
-        for i, (a, b) in enumerate(zip(entries(m_sub).masks, entries(m_sup).masks), start=1):
-            if a & ~b:
+    a, b = sub.decorated_permutation, sup.decorated_permutation
+    for kind, x, y in (("necklace", a.necklace, b.necklace), ("conecklace", a.conecklace, b.conecklace)):
+        for i, (s, t) in enumerate(zip(x.masks, y.masks), start=1):
+            if s & ~t:
                 return QuotientVerdict(False, {"type": f"{kind}-entry", "i": i})
     return QuotientVerdict(True)

@@ -375,9 +375,7 @@ def _():
 
 @_check("M[14,57] vs M[145,467]: necklace containment holds, conecklace fails")
 def _():
-    sub_dp = DecoratedPermutation.from_necklace(lpm_bases(LPM_SUB).grassmann_necklace())
-    sup_dp = DecoratedPermutation.from_necklace(lpm_bases(LPM_SUP).grassmann_necklace())
-    return "(True, False)", str(containment_check(sub_dp, sup_dp))
+    return "(True, False)", str(containment_check(LPM_SUB.decorated_permutation, LPM_SUP.decorated_permutation))
 
 
 @_check("conecklace entry 1 of M[14,57] is {5,7}, not inside {4,6,7}")

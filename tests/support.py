@@ -604,6 +604,27 @@ def lpms(draw, min_n=1, max_n=8):
 
 
 @st.composite
+def lpm_pairs(draw, min_n=1, max_n=8):
+    """(sub, sup), two Lpms on one ground set, so that both quotient verdicts
+    are common.  sub is drawn on its own (U' or L' mostly not inside U or L),
+    or keeps some positions of sup's sorted U and the same positions of its
+    sorted L (always a quotient), or as many other positions of L, when U'
+    stays below L' (a quotient or not by the pairing)."""
+    sup = draw(lpms(min_n, max_n))
+    how = draw(st.sampled_from(("free", "same", "other")))
+    if how == "free":
+        return draw(lpms(sup.n, sup.n)), sup
+    upper, lower = sorted(sup.U), sorted(sup.L)
+    kept = [t for t in range(sup.k) if draw(st.booleans())]
+    sub_u = [upper[t] for t in kept]
+    if how == "other":
+        sub_l = [lower[t] for t in sorted(draw(st.permutations(range(sup.k)))[: len(kept)])]
+        if all(map(int.__le__, sub_u, sub_l)):
+            return Lpm(sup.n, sub_u, sub_l), sup
+    return Lpm(sup.n, sub_u, [lower[t] for t in kept]), sup
+
+
+@st.composite
 def families(draw, max_n=8):
     """A Matroid object over any nonempty family of subsets of [n]: sizes
     may differ, and the exchange axiom holds only by chance."""

@@ -15,6 +15,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def every_lpm_payload():
+    """The LPMs on [1..6] as JSON, in all_lpms order, rank by rank."""
+    return (json.dumps(p.to_json()) for n in range(1, 7) for k in range(n + 1) for p in all_lpms(k, n))
+
+
+def every_dp_text():
+    """The decorated permutations on [1..5] as text, in lexicographic order."""
+    return (dp.to_text() for n in range(1, 6) for dp in all_decorated_permutations(n))
+
+
 class TestConvert:
     def test_dp_to_necklace(self, capsys):
         code, out, _ = run(capsys, "convert", "--from", "dp", "--to", "necklace", "--input", "1c 5 2 3 4")
@@ -63,6 +73,42 @@ class TestConvert:
             digest.update(out.encode())
             count += 1
         assert (count, digest.hexdigest()) == pinned
+
+    # (inputs, sha256 of f"{code}\n{stdout}{stderr}" fed input by input) of
+    # ``convert``, pinned from the route that built every basis first
+    @pytest.mark.parametrize(
+        "source, to, inputs, pinned",
+        [
+            ("lpm", "dp", every_lpm_payload, (624, "768a9c04bc73f9757288ec17c4a2846aefe73138ad2e5651c854b8330309cdb6")),
+            ("lpm", "necklace", every_lpm_payload, (624, "2e8aba1d9741f16b3e6c4c0f70765f8a21c576ed90b1f2eb746c757f509f3eca")),
+            ("lpm", "lpm", every_lpm_payload, (624, "b81050fd3c1d0a1318df6210e975425ff758987b84bc5f7878d13b7e975d2d31")),
+            ("lpm", "matroid", every_lpm_payload, (624, "77dbc94fc3c4c645fa73fe975c04f2d3fdeba795e697c67d7973341520589a18")),
+            ("dp", "lpm", every_dp_text, (414, "62df67f2c344222b0fa036d21207f83dcf197f55dab23ede2413d0d9fdbe0ade")),
+        ],
+    )
+    def test_convert_bytes_are_pinned(self, capsys, source, to, inputs, pinned):
+        digest, count = hashlib.sha256(), 0
+        for payload in inputs():
+            code, out, err = run(capsys, "convert", "--from", source, "--to", to, "--input", payload)
+            digest.update(f"{code}\n{out}{err}".encode())
+            count += 1
+        assert (count, digest.hexdigest()) == pinned
+
+    def test_lpm_on_thirty_elements_converts_both_ways(self, capsys):
+        # C(30, 15) = 155 M subsets: a route through the bases would not finish
+        lpm, dp = json.dumps({"n": 30, "U": list(range(1, 16)), "L": list(range(16, 31))}), uniform_dp(15, 30)
+        assert run(capsys, "convert", "--from", "lpm", "--to", "dp", "--input", lpm) == (0, f"{dp}\n", "")
+        necklace = json.dumps(dp.necklace.to_json())
+        assert run(capsys, "convert", "--from", "lpm", "--to", "necklace", "--input", lpm) == (0, f"{necklace}\n", "")
+        assert run(capsys, "convert", "--from", "dp", "--to", "lpm", "--input", dp.to_text()) == (0, f"{lpm}\n", "")
+        assert run(capsys, "convert", "--from", "necklace", "--to", "lpm", "--input", necklace) == (0, f"{lpm}\n", "")
+
+    def test_a_thirty_element_positroid_that_is_no_lpm_is_refused(self, capsys):
+        # the positroid of 3 2o 1 (bases {1} and {3}) beside 27 coloops
+        dp = "3 2o 1 " + " ".join(f"{i}c" for i in range(4, 31))
+        assert run(capsys, "convert", "--from", "dp", "--to", "lpm", "--input", dp) == (
+            2, "", "error: positroid is not a lattice path matroid\n"
+        )
 
     def test_matroid_to_lpm(self, capsys):
         _, m_json, _ = run(
@@ -438,6 +484,13 @@ class TestEnumerate:
         assert out == ""
         assert err == f"error: POSITROID_MAX_N must be a positive integer, got {value!r}\n"
 
+    def test_env_bound_too_long_for_int_is_refused(self, capsys, monkeypatch):
+        # int() refuses more than 4,300 digits; the option's own refusal names the token, cut short
+        monkeypatch.setenv("POSITROID_MAX_N", "9" * 5000)
+        code, out, err = run(capsys, "enumerate", "--what", "dps", "--n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: POSITROID_MAX_N must be a positive integer, got '99999999...99999999' of 5000 characters\n"
+
 
 class TestVerifyPaper:
     def test_exit_zero_and_lines(self, capsys):
@@ -466,6 +519,8 @@ class TestNumberOptions:
             (("enumerate", "--what", "dps", "--n", "3.0"), "--n must be an integer, got '3.0'"),
             (("check-uniform", "--dp", "2 1", "--k", "\u0664"), "--k must be an integer, got '\u0664'"),
             (("check-uniform", "--dp", "2 1", "--k", "1_0"), "--k must be an integer, got '1_0'"),
+            (("enumerate", "--what", "dps", "--n", "9" * 5000), "--n must be an integer, got '99999999...99999999' of 5000 characters"),
+            (("shift", "--dp", "2 1", "--freeze", "1," + "0" * 5000), "--freeze takes comma-separated integers, got '00000000...00000000' of 5000 characters"),
         ],
     )
     def test_non_ascii_or_malformed_number_is_named(self, capsys, argv, message):

@@ -211,8 +211,9 @@ class TestElementChecks:
             (10**80, "10000000...00000000 of 81 characters"),
             (int("1" * 4300), "11111111...11111111 of 4300 characters"),
             ("y" * 100, "'yyyyyyyy...yyyyyyyy' of 100 characters"),
+            (10**5000, "int of 16610 bits"),  # past repr's digit limit, so never converted
         ],
-        ids=["20-digits", "80-digits", "81-digits", "4300-digits", "long-str"],
+        ids=["20-digits", "80-digits", "81-digits", "4300-digits", "long-str", "5001-digits"],
     )
     def test_long_values_are_shortened(self, value, shown):
         with pytest.raises(ValueError) as exc:

@@ -8,6 +8,7 @@ from positroids import (
     census_records,
     elementary_flag_pairs,
     exists_shift,
+    lpm_bases,
     positroid_of,
     recover_shift_set,
 )
@@ -158,6 +159,11 @@ class TestFlagPairs:
 
 
 class TestLpmCensus:
+    def test_census_fills_no_cache(self):
+        before = lpm_bases.cache_info()
+        assert sum(1 for _ in census_records("lpms", None, 6)) == 429  # the Catalan number C_7
+        assert lpm_bases.cache_info() == before
+
     def test_counts_match_direct_filter(self):
         import itertools
 

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 
 import support
-from positroids import cyclic, lpm, matroids
+from positroids import cli, cyclic, lpm, matroids
 from positroids import (
+    DecoratedPermutation,
     Lpm,
+    Matroid,
+    all_decorated_permutations,
     all_lpms,
     is_quotient_rank,
     lpm_bases,
     lpm_quotient_containment,
     lpm_quotient_greedy,
+    positroid_of,
     uniform_matroid,
 )
 
@@ -33,6 +37,11 @@ class TestConstruction:
         p = Lpm(4, frozenset(), frozenset())
         assert p.k == 0
         assert lpm_bases(p).bases == (frozenset(),)
+
+    def test_an_int_too_long_for_repr_is_named_by_its_bits(self):
+        with pytest.raises(ValueError) as got:
+            Lpm(5, [10**5000], [1])
+        assert str(got.value) == "element int of 16610 bits out of range 1..5"
 
     def test_json_round_trip(self):
         assert Lpm.from_json(SUB.to_json()) == SUB
@@ -136,6 +145,53 @@ class TestCapKernel:
         assert [lpm_bases.__wrapped__(p).basis_masks for p in lpms] == expected
 
 
+class TestDecoratedPermutation:
+    """Lpm.decorated_permutation reads the positroid off (U, L); the oracles
+    are the necklace of the bases and the combination filter."""
+
+    def test_worked_example(self):
+        # 5 -> 1 and 7 -> 4 pair L with U; 1, 2, 3, 4, 6 -> 2, 3, 5, 6, 7 pair the rest
+        assert SUB.decorated_permutation.to_text() == "2 3 5 6 1 7 4"
+        assert Lpm(4, {2}, {2}).decorated_permutation.to_text() == "1o 2c 3o 4o"
+
+    def test_necklace_of_the_bases_up_to_eight(self):
+        for n in range(1, 9):
+            for k in range(n + 1):
+                for p in all_lpms(k, n):
+                    bases = lpm_bases.__wrapped__(p)
+                    assert p.decorated_permutation == DecoratedPermutation.from_necklace(bases.grassmann_necklace()), p
+
+    @settings(max_examples=100, deadline=None)
+    @given(support.lpms(max_n=12))
+    def test_its_positroid_is_the_lpm_up_to_twelve(self, p):
+        assert positroid_of(p.decorated_permutation) == support.lpm_filter_bases(p)
+
+
+class TestRoutesWithoutBases:
+    """The containment criterion and the CLI's LPM conversions, but --to
+    matroid, never build or read a basis family."""
+
+    def test_no_bases_no_gale_extrema_no_positroid_check(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an LPM route reached a basis family")
+
+        monkeypatch.setattr(lpm, "lpm_bases", refuse)
+        monkeypatch.setattr(cli, "positroid_of", refuse)
+        for name in ("grassmann_necklace", "grassmann_conecklace", "is_positroid"):
+            monkeypatch.setattr(Matroid, name, refuse)
+        lpms = [p for k in range(6) for p in all_lpms(k, 5)]
+        for sub in lpms:
+            for sup in lpms:
+                assert lpm_quotient_containment(sub, sup).is_quotient == lpm_quotient_greedy(sub, sup).is_quotient
+        for p in lpms:
+            for to in ("dp", "necklace", "lpm"):
+                assert cli.main(["convert", "--from", "lpm", "--to", to, "--input", json.dumps(p.to_json())]) == 0
+        dps = list(all_decorated_permutations(5))
+        codes = [cli.main(["convert", "--from", "dp", "--to", "lpm", "--input", dp.to_text()]) for dp in dps]
+        assert (codes.count(0), codes.count(2)) == (len(lpms), len(dps) - len(lpms))
+        capsys.readouterr()
+
+
 class TestEndpointLaw:
     def test_u_is_first_necklace_entry(self):
         for n in range(1, 8):
@@ -177,6 +233,19 @@ class TestQuotientCriteria:
     def test_containment_refuses_a_ground_mismatch(self):
         with pytest.raises(ValueError, match="^ground-set mismatch$"):
             lpm_quotient_containment(SUB, Lpm(6, {1}, {6}))
+
+    def test_criteria_agree_on_twenty_to_forty_elements(self):
+        verdicts = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(support.lpm_pairs(20, 40))
+        def agree(pair):
+            greedy = lpm_quotient_greedy(*pair).is_quotient
+            assert lpm_quotient_containment(*pair).is_quotient == greedy
+            verdicts.add(greedy)
+
+        agree()
+        assert verdicts == {True, False}
 
     def test_triple_agreement_small(self):
         # greedy == containment == brute force on every ordered pair, n <= 5
