@@ -12,9 +12,9 @@ without building a matroid: ``basis_count`` is the number of basis masks
 that ``bases_from_necklace`` would store.  Every all-ranks census but
 the decorated permutations runs rank by rank and yields as it goes, so
 the positroid census holds one object at a time.  The flag-pair sweep
-decides each candidate by the rank gap alone, from rank tables it builds
-as packed ints straight from necklace masks; it fills no global cache and
-caches nothing on the permutations it yields.
+decides each candidate by one AND of flat tables read off rank tables built
+straight from necklace masks; it fills no global cache, caches nothing on
+the permutations it yields, and its records make each text once.
 """
 from __future__ import annotations
 
@@ -25,12 +25,11 @@ from typing import Iterator, Optional
 from .cyclic import members_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation, necklace_masks
 from .lpm import Lpm, lpm_bases
-from .matroids import _basis_bits, necklace_rank_table
+from .matroids import _basis_bits, flat_table, necklace_rank_table
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
-from .quotients import _gap_is_monotone
 
 DEFAULT_MAX_N = 8
-FLAG_PAIR_MAX_N = 7
+FLAG_PAIR_MAX_N = 8
 
 
 def _check_args(n: int, max_n: Optional[int], default: int, what: str, k: Optional[int] = None, lowest: int = 0) -> None:
@@ -124,19 +123,21 @@ def elementary_flag_pairs(
     positions where sigma and pi agree (see ``exists_shift``), so a pi hit
     by a second A raises RuntimeError.
 
-    The rank gap, the verdict of ``is_quotient_rank`` without its witness
-    search, decides every candidate.  Each sigma and pi gets one rank
-    table, a packed int built from ``necklace_masks`` by
-    ``necklace_rank_table`` with no necklace object and no ``Matroid``, and
-    ``_gap_is_monotone`` compares the two.  A pi's table is built at its
-    first candidate and kept by the generator, in a dict that dies with it;
-    nothing is cached on sigma or pi.
+    Flat containment decides every candidate: a matroid is a quotient of
+    another exactly when each of its flats is a flat of the other (Oxley,
+    Matroid Theory, Prop. 7.3.6).  Each sigma and pi gets one
+    ``flat_table`` of the packed rank table that ``necklace_rank_table``
+    builds from ``necklace_masks``, with no ``Matroid``, and a candidate is
+    kept when sigma's flats AND NOT pi's is 0.  A pi's table is built at its
+    first candidate and kept in a dict that dies with the generator.  A
+    table serves about 7 (pi on (2, 6)) to 85 (sigma on (3, 7)) candidates;
+    ``is_quotient_rank``, which decides one pair, keeps the rank-gap scan,
+    cheaper there than two tables.
 
     No containment filter runs first: necklace containment holds for every
     candidate, and conecklace containment, necessary but not sufficient
-    (arXiv:2311.05340), drops 1,367 of the 3,297 candidates on (2, 6),
-    each of which the gap rejects in about 2 us, at the price of a
-    conecklace per sigma and pi.
+    (arXiv:2311.05340), would save one AND on each of the 1,367 of the
+    3,297 candidates on (2, 6) it drops, at a conecklace per sigma and pi.
 
     Output is sigma-major, each part in the lexicographic order of
     all_decorated_permutations, the order of the quadratic sweep over every
@@ -152,10 +153,10 @@ def elementary_flag_pairs(
         index.setdefault(same(pi.perm), []).append((p, _colours(pi)))
     plans = _unrotation_plans(n)
 
-    def table(dp: DecoratedPermutation, rank: int) -> int:
-        return necklace_rank_table(n, rank, necklace_masks(dp.perm, dp.col))
+    def flats(dp: DecoratedPermutation, rank: int) -> int:
+        return flat_table(n, necklace_rank_table(n, rank, necklace_masks(dp.perm, dp.col)))
 
-    tables: dict[int, int] = {}  # position of pi -> its packed rank table, built at its first candidate
+    tables: dict[int, int] = {}  # position of pi -> its flat table, built at its first candidate
     for sigma in all_decorated_permutations(n, max_n, rank=k - 1):
         perm = sigma.perm
         colours = _colours(sigma)
@@ -174,11 +175,11 @@ def elementary_flag_pairs(
                     hits[p] = shift_set
         if not hits:
             continue
-        low = table(sigma, k - 1)
+        low = flats(sigma, k - 1)
         for p in sorted(hits):
             if p not in tables:
-                tables[p] = table(pis[p], k)
-            if _gap_is_monotone(low, tables[p], n):
+                tables[p] = flats(pis[p], k)
+            if not low & ~tables[p]:
                 yield sigma, pis[p], hits[p]
 
 
@@ -229,5 +230,13 @@ def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Itera
                 count = len(lpm_bases.__wrapped__(p).basis_masks)  # each LPM once: caching would only fill memory
                 yield {"n": n, "k": rank, "U": sorted(p.U), "L": sorted(p.L), "basis_count": count}
         else:
+            texts: dict = {}  # each pi's text and each A's sorted list, made once: records share the lists
+            last = None
             for sigma, pi, shift_set in elementary_flag_pairs(rank, n, max_n):
-                yield {"n": n, "k": rank, "pi": pi.to_text(), "sigma": sigma.to_text(), "shift_set": sorted(shift_set)}
+                if sigma is not last:  # a sigma's pairs come together
+                    last, sigma_text = sigma, sigma.to_text()
+                if pi not in texts:
+                    texts[pi] = pi.to_text()
+                if shift_set not in texts:
+                    texts[shift_set] = sorted(shift_set)
+                yield {"n": n, "k": rank, "pi": texts[pi], "sigma": sigma_text, "shift_set": texts[shift_set]}

@@ -13,10 +13,10 @@ packed ints, one byte field per subset, computed with big-int operations
 over ``byte_table_masks`` and ``subset_max``, which the quotient check
 shares: ``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and
 ``necklace_rank_table`` builds the same int from necklace masks for the
-flag-pair sweep; circuits are packed passes over the independence table it
-starts from.  The necklace and conecklace are the masks that
-``cyclic.gale_extrema`` finds, taken unchecked.  ``is_valid``, for
-outside input, is a direct pairwise exchange check.
+flag-pair sweep, which compares the flats ``flat_table`` marks in it;
+circuits are packed passes over the independence table it starts from.
+The necklace and conecklace are the masks ``cyclic.gale_extrema`` finds,
+taken unchecked; ``is_valid``, for outside input, checks exchange pairwise.
 """
 from __future__ import annotations
 
@@ -247,6 +247,19 @@ def subset_max(packed: int, n: int) -> int:
         keep = ((((a | g) - b) & g) >> 7) * 0x7F  # fields with a >= b
         packed ^= (a ^ b) & (values ^ keep)
     return packed
+
+
+def flat_table(n: int, packed_rank: int) -> int:
+    """Field S of a packed rank table replaced by 1 when S is a flat and 0
+    otherwise.  S - x is no flat when x lies in its closure: for each x,
+    one subtraction gives rk(S) - rk(S - x), 0 or 1, in every field S that
+    holds x, and field S - x is cleared wherever it is 0."""
+    guards, _, covers = byte_table_masks(n)
+    flats = guards >> 7
+    for shift, values, g in covers:
+        rises = (packed_rank & values) - (packed_rank << shift & values)
+        flats &= ~((g >> 7 ^ rises) >> shift)
+    return flats
 
 
 def packed_independence_table(n: int, basis_masks: Iterable[int]) -> int:

@@ -267,6 +267,17 @@ def max_over_bases_rank_table(m: Matroid) -> list[int]:
     return table
 
 
+def naive_flats(m: Matroid) -> bytes:
+    """1 for every subset of [n] that is a flat and 0 otherwise, indexed by
+    mask like ``Matroid.rank_table``: S is a flat when ``Matroid.rank_of``
+    grows on adding any element outside S."""
+    n = m.n
+    ranks = [m.rank_of(mask_members(s)) for s in range(1 << n)]
+    return bytes(
+        all(ranks[s | 1 << x] > ranks[s] for x in range(n) if not s >> x & 1) for s in range(1 << n)
+    )
+
+
 def backward_scan_shift(dp: DecoratedPermutation, positions) -> DecoratedPermutation:
     """``DecoratedPermutation.cyclic_shift`` with the previous free position
     of each free i found by scanning backwards around the circle, O(n^2)."""

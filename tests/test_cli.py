@@ -408,6 +408,16 @@ class TestEnumerate:
         data = out.encode()
         assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == self.CENSUS_6[k]
 
+    def test_flag_pair_census_bytes_are_pinned(self, capsys):
+        # every rank of [6]; the flag pair records make each text once
+        code, out, _ = run(capsys, "enumerate", "--what", "flag-pairs", "--n", "6")
+        assert code == 0
+        data = out.encode()
+        assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == (
+            18076,
+            "b67d0a06649488b017ecd9a730b7771856f2fc8c95973c7e402e4fbb7112dc4e",
+        )
+
     @pytest.mark.parametrize("what, n, ranks", [("flag-pairs", 4, range(1, 5)), ("positroids", 4, range(0, 5))])
     def test_omitted_k_concatenates_every_rank(self, capsys, what, n, ranks):
         code, everything, _ = run(capsys, "enumerate", "--what", what, "--n", str(n))
@@ -439,7 +449,7 @@ class TestEnumerate:
         [
             ("--what", "positroids", "--k", "9", "--n", "3"),
             ("--what", "positroids", "--n", "9"),
-            ("--what", "flag-pairs", "--n", "8"),
+            ("--what", "flag-pairs", "--n", "9"),
         ],
     )
     def test_refusal_creates_no_out_file(self, capsys, monkeypatch, tmp_path, argv):

@@ -107,7 +107,7 @@ class TestFlagPairs:
 
     def test_bound(self):
         with pytest.raises(ValueError):
-            next(elementary_flag_pairs(2, 8))
+            next(elementary_flag_pairs(2, 9))
 
     @staticmethod
     def _check_shift_sets(triples):

@@ -327,6 +327,21 @@ class TestKernelsAgainstOracles:
         with pytest.raises(ValueError, match="n <= 16"):
             Matroid(17, [{1}]).rank_table
 
+    @staticmethod
+    def _check_flat_table(m):
+        table = matroids.flat_table(m.n, int.from_bytes(m.rank_table, "little"))
+        assert table.to_bytes(1 << m.n, "little") == support.naive_flats(m), m.to_json()
+
+    def test_flat_tables_exhaustive_up_to_six(self, dps):
+        for n in range(1, 7):
+            for dp in dps(n):
+                self._check_flat_table(positroid_of(dp))
+
+    def test_flat_tables_on_matroid_census(self, matroid_census):
+        for n in range(1, 5):
+            for m in matroid_census(n):
+                self._check_flat_table(m)
+
     def test_necklaces_exhaustive_up_to_seven(self, dps):
         for n in range(1, 8):
             for dp in dps(n):

@@ -28,8 +28,8 @@ def test_small_survey():
 
 
 def test_refused_n_is_an_error_line_and_exit_two():
-    result = survey("--n", "8")
+    result = survey("--n", "9")
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr == "error: flag pair enumeration supports 1 <= n <= 7, got n=8\n"
+    assert result.stderr == "error: flag pair enumeration supports 1 <= n <= 8, got n=9\n"
     assert "Traceback" not in result.stderr

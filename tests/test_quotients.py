@@ -24,6 +24,7 @@ from positroids import (
 )
 from positroids.cyclic import members_of
 from positroids.lpm import Lpm
+from positroids.matroids import flat_table
 
 DP_P = DecoratedPermutation.from_text("1o 5 4 6 2 3")
 DP_Q = DecoratedPermutation.from_text("6 2o 3o 4o 5o 1")
@@ -96,6 +97,41 @@ class TestOracleAgreementSmall:
                     else:
                         assert not verdict
                         assert (verdict.witness["A"], verdict.witness["B"]) == expected
+
+
+class TestFlatContainment:
+    """m is a quotient of n exactly when every flat of m is a flat of n
+    (Oxley, Matroid Theory, Prop. 7.3.6): the flag sweep's verdict, one AND
+    of flat tables, against ``is_quotient_rank``."""
+
+    @staticmethod
+    def _flats(m):
+        return flat_table(m.n, int.from_bytes(m.rank_table, "little"))
+
+    def _check(self, m, n):
+        assert (not self._flats(m) & ~self._flats(n)) == is_quotient_rank(m, n).is_quotient, (m.to_json(), n.to_json())
+
+    def test_all_matroid_pairs_on_four(self, matroid_census):
+        census = matroid_census(4)
+        assert len(census) ** 2 == 4624
+        for m in census:
+            for other in census:
+                self._check(m, other)
+
+    def test_adjacent_rank_positroid_pairs_on_five(self, dps):
+        by_rank = {}
+        for dp in dps(5):
+            by_rank.setdefault(dp.rank, []).append(positroid_of(dp))
+        pairs = [(m, n) for k in range(1, 6) for m in by_rank[k - 1] for n in by_rank[k]]
+        assert len(pairs) == 25345
+        for m, n in pairs:
+            self._check(m, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(support.rank_gap_pairs(max_n=8))
+    def test_rank_gap_pairs_up_to_eight(self, pair):
+        sigma, pi = pair
+        self._check(positroid_of(sigma), positroid_of(pi))
 
 
 class TestUniformCriterion:
