@@ -8,9 +8,9 @@ payload option accepts inline text or JSON, a file path, or ``-`` for stdin.
 ``convert`` pivots on the decorated permutation: each source becomes one
 (``_to_dp``; an LPM's is ``Lpm.decorated_permutation``, with no basis) and
 each target comes from it, but a matroid to a matroid prints as parsed.
-``enumerate`` takes its kinds and default bounds from
-``enumeration.CENSUS_KINDS``, which ``census_records`` checks before the
-``--out`` file is opened.
+``enumerate`` takes its kinds from ``enumeration.CENSUS_KINDS`` and its
+default bound from ``enumeration.DEFAULT_MAX_N``; ``census_records`` checks
+both before the ``--out`` file is opened.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import sys
 from .arrows import ccw_arrows, cw_arrows
 from .cyclic import shown
 from .decorated import DecoratedPermutation, GrassmannNecklace
-from .enumeration import CENSUS_KINDS, census_records
+from .enumeration import CENSUS_KINDS, DEFAULT_MAX_N, census_records
 from .lpm import Lpm, lpm_quotient_greedy
 from .matroids import Matroid, positroid_of
 from .quotients import (
@@ -189,13 +189,12 @@ def _cmd_arrows(args) -> int:
 def _cmd_enumerate(args) -> int:
     k = None if args.k is None else _integer(args.k, "--k must be an integer")
     n = _integer(args.n, "--n must be an integer")
-    default = CENSUS_KINDS[args.what][0]
     env = os.environ.get("POSITROID_MAX_N")
-    bound = default if env is None else _integer(env, "POSITROID_MAX_N must be a positive integer", least=1)
+    bound = DEFAULT_MAX_N if env is None else _integer(env, "POSITROID_MAX_N must be a positive integer", least=1)
     records = census_records(args.what, k, n, max_n=bound)
-    if n > default:
+    if n > DEFAULT_MAX_N:
         print(
-            f"warning: n={n} exceeds the supported bound {default}; "
+            f"warning: n={n} exceeds the supported bound {DEFAULT_MAX_N}; "
             f"proceeding because POSITROID_MAX_N={env} (this may take very long)",
             file=sys.stderr,
         )

@@ -61,7 +61,7 @@ def check_rank(k: int, n: int) -> None:
         raise ValueError(f"rank {k!r} out of range 0..{n}")
 
 
-def check_members(sets: Iterable[frozenset[int]], n: int) -> None:
+def check_members(sets: Iterable[Iterable[int]], n: int) -> None:
     """check_element on every member of the given sets, set by set, so a
     non-int equal to an int (2.0 or True) is named, not hidden in a union."""
     for members in sets:

@@ -3,18 +3,18 @@ code of one positroid), lattice path matroids, and elementary flag
 positroid pairs.
 
 Every generator is deterministic (canonical lexicographic order) and lazy.
-The default bounds keep full enumeration instant to a few minutes; callers
-may raise them explicitly, which the CLI does only with a loud warning.
-``census_records`` turns any of them into plain JSON dicts for the CLI's
-``enumerate``; ``CENSUS_KINDS`` is the one table of its kinds, their
-default bounds and their lowest ranks.  The positroid census counts bases
-without building a matroid: ``basis_count`` is the number of basis masks
-that ``bases_from_necklace`` would store.  Every all-ranks census but
-the decorated permutations runs rank by rank and yields as it goes, so
-the positroid census holds one object at a time.  The flag-pair sweep
-decides each candidate by one AND of flat tables read off rank tables built
-straight from necklace masks; it fills no global cache, caches nothing on
-the permutations it yields, and its records make each text once.
+The default bound ``DEFAULT_MAX_N`` keeps full enumeration instant to a
+few minutes; callers may raise it explicitly, which the CLI does only with
+a loud warning.  ``census_records`` turns any of them into plain JSON dicts
+for the CLI's ``enumerate``; ``CENSUS_KINDS`` is the one table of its kinds,
+their lowest ranks and the nouns their refusals name.  The positroid census
+counts bases without building a matroid: ``basis_count`` is the number of
+basis masks that ``bases_from_necklace`` would store.  Every all-ranks
+census but the decorated permutations runs rank by rank and yields as it
+goes, so the positroid census holds one object at a time.  The flag-pair
+sweep decides each candidate by one AND of flat tables read off rank tables
+built straight from necklace masks; it fills no global cache, caches
+nothing on the permutations it yields, and its records make each text once.
 """
 from __future__ import annotations
 
@@ -29,13 +29,12 @@ from .matroids import _basis_bits, flat_table, necklace_rank_table
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
 
 DEFAULT_MAX_N = 8
-FLAG_PAIR_MAX_N = 8
 
 
-def _check_args(n: int, max_n: Optional[int], default: int, what: str, k: Optional[int] = None, lowest: int = 0) -> None:
-    """Refuses n outside 1..bound (``max_n``, else ``default``) and a given
-    rank k outside lowest..n; either must be an int, and a bool is not."""
-    bound = default if max_n is None else max_n
+def _check_args(n: int, max_n: Optional[int], what: str, k: Optional[int] = None, lowest: int = 0) -> None:
+    """Refuses n outside 1..bound (``max_n``, else ``DEFAULT_MAX_N``) and a
+    given rank k outside lowest..n; either must be an int, and a bool is not."""
+    bound = DEFAULT_MAX_N if max_n is None else max_n
     if type(n) is not int or not 1 <= n <= bound:
         raise ValueError(f"{what} enumeration supports 1 <= n <= {bound}, got n={n!r}")
     if k is not None and (type(k) is not int or not lowest <= k <= n):
@@ -53,7 +52,7 @@ def all_decorated_permutations(
     anti-exceedances and f fixed points has decorations of rank a..a+f
     only; the others are skipped before any object is built.
     """
-    _check_args(n, max_n, DEFAULT_MAX_N, "decorated permutation", rank)
+    _check_args(n, max_n, "decorated permutation", rank)
     for perm in itertools.permutations(range(1, n + 1)):
         fixed = [i for i in range(n) if perm[i] == i + 1]
         if rank is not None:
@@ -71,7 +70,7 @@ def all_decorated_permutations(
 
 def all_lpms(k: int, n: int, max_n: Optional[int] = None) -> Iterator[Lpm]:
     """Every lattice path matroid M[U, L] of rank k on [n], each once."""
-    _check_args(n, max_n, DEFAULT_MAX_N, "lattice path matroid", k)
+    _check_args(n, max_n, "lattice path matroid", k)
     subsets = list(itertools.combinations(range(1, n + 1), k))
     for upper in subsets:
         for lower in subsets:
@@ -131,8 +130,8 @@ def elementary_flag_pairs(
     kept when sigma's flats AND NOT pi's is 0.  A pi's table is built at its
     first candidate and kept in a dict that dies with the generator.  A
     table serves about 7 (pi on (2, 6)) to 85 (sigma on (3, 7)) candidates;
-    ``is_quotient_rank``, which decides one pair, keeps the rank-gap scan,
-    cheaper there than two tables.
+    ``is_quotient_rank``, which decides one pair, takes one ``subset_max``
+    closure of the rank gap instead, since that closure also names a witness.
 
     No containment filter runs first: necklace containment holds for every
     candidate, and conecklace containment, necessary but not sufficient
@@ -143,7 +142,7 @@ def elementary_flag_pairs(
     all_decorated_permutations, the order of the quadratic sweep over every
     pair that ``tests/support.quadratic_flag_pairs`` keeps as the oracle.
     """
-    _check_args(n, max_n, FLAG_PAIR_MAX_N, "flag pair", k, 1)
+    _check_args(n, max_n, "flag pair", k, 1)
     pis = list(all_decorated_permutations(n, max_n, rank=k))
     # each perm's (position, colours); the key goes through an itemgetter
     # like the plans' keys, which are bare values rather than tuples at n = 1
@@ -183,12 +182,12 @@ def elementary_flag_pairs(
                 yield sigma, pis[p], hits[p]
 
 
-# census kind -> (default bound on n, lowest rank, the noun its bound refusal names)
+# census kind -> (lowest rank, the noun its bound refusal names)
 CENSUS_KINDS = {
-    "dps": (DEFAULT_MAX_N, 0, "decorated permutation"),
-    "positroids": (DEFAULT_MAX_N, 0, "decorated permutation"),
-    "lpms": (DEFAULT_MAX_N, 0, "lattice path matroid"),
-    "flag-pairs": (FLAG_PAIR_MAX_N, 1, "flag pair"),
+    "dps": (0, "decorated permutation"),
+    "positroids": (0, "decorated permutation"),
+    "lpms": (0, "lattice path matroid"),
+    "flag-pairs": (1, "flag pair"),
 }
 
 
@@ -200,12 +199,12 @@ def census_records(what: str, k: Optional[int], n: int, max_n: Optional[int] = N
     always come in one lexicographic pass, restricted to rank k when k is
     given.  The arguments are checked here, before any record is made: an
     unknown kind, or an n or k that ``_check_args`` refuses with the kind's
-    bound and lowest rank, raises ValueError.
+    lowest rank, raises ValueError.
     """
     if what not in CENSUS_KINDS:
         raise ValueError(f"unknown census kind {what!r}")
-    default, lowest, noun = CENSUS_KINDS[what]
-    _check_args(n, max_n, default, noun, k, lowest)
+    lowest, noun = CENSUS_KINDS[what]
+    _check_args(n, max_n, noun, k, lowest)
     return _records(what, k, n, max_n)
 
 
@@ -214,7 +213,7 @@ def _records(what: str, k: Optional[int], n: int, max_n: Optional[int]) -> Itera
         for dp in all_decorated_permutations(n, max_n, rank=k):
             yield {"n": n, "k": dp.rank, "dp": dp.to_text()}
         return
-    for rank in [k] if k is not None else range(CENSUS_KINDS[what][1], n + 1):
+    for rank in [k] if k is not None else range(CENSUS_KINDS[what][0], n + 1):
         if what == "positroids":
             for dp in all_decorated_permutations(n, max_n, rank=rank):
                 # the bases are counted, not built, and positroid_of's cache is bypassed

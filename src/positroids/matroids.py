@@ -59,10 +59,11 @@ class Matroid:
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]]):
         check_ground(n)
-        family = {frozenset(b) for b in bases}
-        if not family:
+        given = [tuple(b) for b in bases]
+        if not given:
             raise ValueError("a matroid needs at least one basis")
-        check_members(family, n)
+        check_members(given, n)  # before deduplication, which would hide 1.0 or True behind 1
+        family = set(map(frozenset, given))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis_masks", canonical_order(map(bits_of, family)))
 

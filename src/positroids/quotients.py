@@ -1,11 +1,12 @@
 """Quotient criteria for matroids and positroids.
 
-Two exact oracles (the rank inequality, checked on covering pairs, and the
-circuit-union definition), the fast CW-arrow criterion for quotients of
-uniform matroids, cyclic-shift existence and recovery for elementary
-quotient pairs, necklace and conecklace containment checks, and the CCW
-covering condition.  The rank witness comes from one packed pass and a
-shift set from the agreement set of the two permutations.
+Two exact oracles (the rank inequality and the circuit-union definition),
+the fast CW-arrow criterion for quotients of uniform matroids, cyclic-shift
+existence and recovery for elementary quotient pairs, necklace and
+conecklace containment checks, and the CCW covering condition.  One
+``subset_max`` closure of the packed rank gap gives the rank verdict and
+its witness, and a shift set comes from the agreement set of the two
+permutations.
 """
 from __future__ import annotations
 
@@ -43,69 +44,42 @@ def _check_same_ground(m: Matroid, n: Matroid) -> None:
         raise ValueError(f"ground-set mismatch: {m.n} vs {n.n}")
 
 
-def _gap_is_monotone(rm: int, rn: int, n: int) -> bool:
-    """Whether gap = rn - rm never decreases along a covering pair (S - x, S).
-
-    The tables are packed ints, one byte field per subset, as
-    ``packed_rank_table`` builds them.  One guarded subtraction
-    takes every gap at once: a guard bit is cleared exactly where the gap
-    is negative, which already refutes monotonicity since gap(empty set)
-    is 0.  Then, for each x, one subtraction compares every field S
-    containing x with field S - x: the guard bit above field S survives
-    exactly when gap(S - x) <= gap(S), and no borrow crosses a field.
-    """
-    guards, _, covers = byte_table_masks(n)
-    gap = (rn | guards) - rm
-    if gap & guards != guards:
-        return False
-    for shift, values, g in covers:
-        if (((gap & values) | g) - ((gap << shift) & values)) & g != g:
-            return False
-    return True
-
-
 def is_quotient_rank(m: Matroid, n: Matroid) -> QuotientVerdict:
     """Whether m is a quotient of n: rk_m(B) - rk_m(A) <= rk_n(B) - rk_n(A)
     for every A inside B, i.e. whether the gap rk_n - rk_m is monotone.
 
-    A function on the subsets of [n] is monotone exactly when it is monotone
-    on the covering pairs (S - x, S), so the verdict takes n * 2^(n-1)
-    comparisons instead of the 3^n nested pairs.  The canonical witness,
-    found after a rejection, is the first violation with B from [n] down
-    and A over the submasks of B upward: with the gaps packed (offset by
-    0x20 per byte), B is the highest field below its ``subset_max`` closure
-    and A the first submask of B with a larger gap.
+    With the gaps packed, offset by 0x20 per byte so that none is negative,
+    the gap is monotone exactly when its ``subset_max`` closure equals it:
+    one closure decides the verdict instead of the 3^n nested pairs.  The
+    canonical witness is the first violation with B from [n] down and A
+    over the submasks of B upward: B is the highest field that the closure
+    raised and A the first submask of B with a larger gap.
     """
     _check_same_ground(m, n)
     rm = m.rank_table
     rn = n.rank_table
-    packed_m = int.from_bytes(rm, "little")
-    packed_n = int.from_bytes(rn, "little")
-    if _gap_is_monotone(packed_m, packed_n, m.n):
-        return QuotientVerdict(True)
-    guards = byte_table_masks(m.n)[0]
-    gap = packed_n + (guards >> 2) - packed_m
+    offset = byte_table_masks(m.n)[0] >> 2
+    gap = int.from_bytes(rn, "little") + offset - int.from_bytes(rm, "little")
     above = subset_max(gap, m.n) ^ gap
-    if above:
-        b = (above.bit_length() - 1) >> 3
-        gaps = gap.to_bytes(len(rn), "little")
-        a = 0
-        while True:
-            if gaps[a] > gaps[b]:
-                return QuotientVerdict(
-                    False,
-                    {
-                        "type": "rank",
-                        "A": sorted_members(a),
-                        "B": sorted_members(b),
-                        "lhs": rm[b] - rm[a],
-                        "rhs": rn[b] - rn[a],
-                    },
-                )
-            if a == b:
-                break
-            a = (a - b) & b  # the next submask of b
-    raise RuntimeError("the covering-pair check failed but no nested pair violates")
+    if not above:
+        return QuotientVerdict(True)
+    b = (above.bit_length() - 1) >> 3
+    gaps = gap.to_bytes(len(rn), "little")
+    a = 0
+    while gaps[a] <= gaps[b]:
+        if a == b:
+            raise RuntimeError("the subset-max closure rose above a gap but no nested pair violates")
+        a = (a - b) & b  # the next submask of b
+    return QuotientVerdict(
+        False,
+        {
+            "type": "rank",
+            "A": sorted_members(a),
+            "B": sorted_members(b),
+            "lhs": rm[b] - rm[a],
+            "rhs": rn[b] - rn[a],
+        },
+    )
 
 
 def _first_uncovered(wholes: Iterable[int], pieces: tuple[int, ...]) -> Optional[tuple[int, int]]:

@@ -94,8 +94,8 @@ def nested_pairs_quotient(m: Matroid, n: Matroid):
 
     Every nested pair is visited: B from the full ground set downward, A over
     the submasks of B in increasing order.  This is the order that makes the
-    witness of ``is_quotient_rank`` canonical; the kernel itself decides on
-    covering pairs only.
+    witness of ``is_quotient_rank`` canonical; the kernel itself decides by
+    one ``subset_max`` closure of the packed rank gap.
     """
     rm, rn = m.rank_table, n.rank_table
     for b in range(full_mask(m.n), -1, -1):

@@ -37,6 +37,8 @@ def test_removed_aliases_are_gone():
     assert not hasattr(positroids.Matroid, "independent")
     assert not hasattr(positroids.enumeration, "check_census")
     assert not hasattr(positroids.enumeration, "all_positroids")
+    assert not hasattr(positroids.enumeration, "FLAG_PAIR_MAX_N")
+    assert not hasattr(positroids.quotients, "_gap_is_monotone")
     assert not hasattr(positroids.cyclic, "cyclic_leq")
     assert not hasattr(positroids.cyclic, "cyclic_sorted")
     assert not hasattr(positroids.CyclicInterval, "from_json")

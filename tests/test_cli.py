@@ -266,6 +266,13 @@ class TestCheckCommands:
         assert code == 2
         assert "exchange" in err
 
+    @pytest.mark.parametrize("bases", ["[[1],[1.0]]", "[[1.0],[1]]"])
+    def test_check_quotient_refuses_a_float_in_a_repeated_basis(self, capsys, bases):
+        m = f'{{"n":2,"bases":{bases}}}'
+        code, out, err = run(capsys, "check-quotient", "--m", m, "--n", '{"n":2,"bases":[[1],[2]]}')
+        assert (code, out) == (2, "")
+        assert "element 1.0 out of range 1..2" in err
+
     def test_check_uniform_true(self, capsys):
         code, _, _ = run(capsys, "check-uniform", "--dp", "1o 5 4 6 2 3", "--k", "4")
         assert code == 0

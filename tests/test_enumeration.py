@@ -213,7 +213,8 @@ class TestCensusRecords:
 
     def test_refused_when_called(self):
         # the checks run at the call, before the first record is asked for
-        for what, (bound, lowest, noun) in enumeration.CENSUS_KINDS.items():
+        bound = enumeration.DEFAULT_MAX_N
+        for what, (lowest, noun) in enumeration.CENSUS_KINDS.items():
             with pytest.raises(ValueError, match=f"^{noun} enumeration supports 1 <= n <= {bound}, got n={bound + 1}$"):
                 census_records(what, None, bound + 1)
             with pytest.raises(ValueError, match=f"^rank {lowest - 1} out of range {lowest}..3$"):

@@ -51,10 +51,16 @@ class TestValidation:
 
     @pytest.mark.parametrize("bad", [6, 0, "3", 2.0])
     def test_bad_element_in_last_basis(self, bad):
-        # the elements are checked once, over the union of the bases; 2.0
-        # equals the 2 of an earlier basis and must not hide behind it
+        # the elements are checked basis by basis; 2.0 equals the 2 of an
+        # earlier basis and must not hide behind it
         with pytest.raises(ValueError, match=rf"^element {bad!r} out of range 1\.\.5$"):
             Matroid(5, [{1, 2}, {1, 3}, {3, 5}, {4, bad}])
+
+    @pytest.mark.parametrize("bases", [[[1], [1.0]], [[1.0], [1]], [[1, True]], [[True, 1]]])
+    def test_non_int_in_a_repeated_basis(self, bases):
+        # the members are checked before repeated bases are dropped
+        with pytest.raises(ValueError, match=r"^element (1\.0|True) out of range 1\.\.2$"):
+            Matroid(2, bases)
 
     def test_basis_masks_match_checked_masks(self):
         for m in (P5, uniform_matroid(2, 4), Matroid(3, [frozenset()])):
@@ -529,6 +535,8 @@ class TestJson:
             ('{"n": 5, "bases": [[1, 2], [1, 1]]}', "basis [1, 1] repeats an element"),
             ('{"n": 5, "bases": [[1, true]]}', "basis [1, True] repeats an element"),
             ('{"n": 5, "bases": [[2, 2.0]]}', "basis [2, 2.0] repeats an element"),
+            ('{"n": 5, "bases": [[1], [1.0]]}', "element 1.0 out of range 1..5"),
+            ('{"n": 5, "bases": [[1.0], [1]]}', "element 1.0 out of range 1..5"),
             ('{"n": 5, "bases": []}', "a matroid needs at least one basis"),
             ('{"n": 5, "bases": "x"}', "bases 'x' is not a list"),
             ('{"n": 5, "bases": [[1], 3]}', "basis 3 is not a list"),

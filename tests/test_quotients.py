@@ -54,6 +54,24 @@ class TestRankOracle:
         with pytest.raises(ValueError):
             is_quotient_rank(uniform_matroid(1, 3), uniform_matroid(1, 4))
 
+    @pytest.mark.parametrize(
+        "k_m, k_n, lhs, rhs",
+        [
+            (16, 0, 16, 0),  # gap field 0x10, the lowest
+            (0, 16, None, None),  # gap field up to 0x30, the highest
+            (9, 8, 9, 8),
+            (7, 8, None, None),  # gap field up to 0x21
+        ],
+    )
+    def test_offset_range_ends_at_16(self, k_m, k_n, lhs, rhs):
+        # the packed gaps are offset by 0x20: at n = 16 they span 0x10..0x30
+        verdict = is_quotient_rank(uniform_matroid(k_m, 16), uniform_matroid(k_n, 16))
+        if lhs is None:
+            assert verdict.is_quotient and verdict.witness is None
+        else:
+            assert not verdict
+            assert verdict.witness == {"type": "rank", "A": [], "B": list(range(1, 17)), "lhs": lhs, "rhs": rhs}
+
 
 class TestCircuitOracle:
     def test_matches_rank_oracle_on_worked_cases(self):
