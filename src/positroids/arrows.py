@@ -6,17 +6,19 @@ circle at a coloop, a singleton at a loop); the CCW-arrow is the arc
 [perm(i), i] with loop and coloop swapping roles.  The CW count of a set,
 with the whole-circle value pinned to n - rank, reads off positroid ranks
 of cyclic intervals exactly and upper-bounds the rank everywhere else.
-The CCW count, which only the tests read, is the oracle
-``tests/support.ccw_function``; the CCW covering check in ``quotients``
-reads the arrow masks, which ``_cw_masks``/``_ccw_masks`` compute from
-(perm, col) in closed form (``cyclic.arc_mask``), with no arrow objects.
+It is undefined with coloops, which ``_cw_count`` refuses for every caller
+after the caller's own subset checks.  The CCW count, which only the tests
+read, is the oracle ``tests/support.ccw_function``; the CCW covering check
+in ``quotients`` reads the arrow masks, which ``_cw_masks``/``_ccw_masks``
+compute from (perm, col) in closed form (``cyclic.arc_mask``), with no
+arrow objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cyclic import CyclicInterval, arc_mask, full_mask, mask_of
+from .cyclic import CyclicInterval, arc_mask, check_same_ground, full_mask, mask_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
 
@@ -60,6 +62,8 @@ def _ccw_masks(dp: DecoratedPermutation) -> tuple[int, ...]:
 
 
 def _cw_count(dp: DecoratedPermutation, mask: int) -> int:
+    if dp.coloops:
+        raise ValueError(f"cw is undefined in the presence of coloops {sorted(dp.coloops)}")
     if mask == full_mask(dp.n):
         return dp.n - dp.rank
     return sum(1 for a in _cw_masks(dp) if a & ~mask == 0)
@@ -71,24 +75,17 @@ def cw_function(dp: DecoratedPermutation, subset: Iterable[int]) -> int:
     Only defined for coloop-free permutations (a coloop arrow covers the
     whole circle and the whole-set override would silently disagree).
     """
-    if dp.coloops:
-        raise ValueError(f"cw is undefined in the presence of coloops {sorted(dp.coloops)}")
     return _cw_count(dp, mask_of(subset, dp.n))
 
 
 def rank_cyclic_interval(dp: DecoratedPermutation, interval: CyclicInterval) -> int:
     """Positroid rank of a cyclic interval, |J| - cw(J), without touching bases."""
-    if interval.n != dp.n:
-        raise ValueError("ground-set mismatch")
-    if dp.coloops:
-        raise ValueError(f"cw is undefined in the presence of coloops {sorted(dp.coloops)}")
+    check_same_ground(interval, dp)
     return len(interval) - _cw_count(dp, interval.mask)
 
 
 def rank_upper_bound(dp: DecoratedPermutation, subset: Iterable[int]) -> int:
     """|A| - cw(A), an upper bound for the positroid rank of any proper subset."""
-    if dp.coloops:
-        raise ValueError(f"cw is undefined in the presence of coloops {sorted(dp.coloops)}")
     mask = mask_of(subset, dp.n)
     if mask == full_mask(dp.n):
         raise ValueError("the bound is stated for proper subsets only")

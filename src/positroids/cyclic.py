@@ -35,6 +35,11 @@ def check_ground(n: int) -> None:
         raise ValueError(f"ground set size must be an integer in 1..{MAX_GROUND}, got {n!r}")
 
 
+def check_same_ground(a, b) -> None:
+    if a.n != b.n:
+        raise ValueError("ground-set mismatch")
+
+
 def shown(value) -> str:
     """repr(value) for an error message, cut past 80 characters to its first and
     last 8 and its length; an int too long for repr shows its bit length."""

@@ -31,6 +31,7 @@ from .cyclic import (
     check_ground,
     check_members,
     check_rank,
+    check_same_ground,
     distinct_members,
     full_mask,
     json_list,
@@ -65,7 +66,7 @@ class GrassmannNecklace:
         check_ground(n)
         if not 0 <= k <= n:
             raise ValueError(f"rank {k} out of range for n={n}")
-        entries = tuple(map(frozenset, entries))
+        entries = tuple(distinct_members(list(e), "entry") for e in entries)
         if len(entries) != n:
             raise ValueError(f"expected {n} entries, got {len(entries)}")
         for e in entries:
@@ -103,8 +104,7 @@ class GrassmannNecklace:
 
     def contains_entrywise(self, other: "GrassmannNecklace") -> bool:
         """Whether other's entries are contained in self's, entry by entry."""
-        if other.n != self.n:
-            raise ValueError("ground-set mismatch")
+        check_same_ground(self, other)
         return not any(b & ~a for a, b in zip(self.masks, other.masks))
 
     def to_json(self) -> dict:
@@ -378,8 +378,7 @@ def shift_interval(pi: DecoratedPermutation, sigma: DecoratedPermutation, i: int
     Exceptional case: when i is a loop of sigma and a coloop of pi the
     interval is the full circle.
     """
-    if pi.n != sigma.n:
-        raise ValueError("ground-set mismatch")
+    check_same_ground(pi, sigma)
     check_element(i, pi.n)
     if sigma.col[i - 1] == LOOP and pi.col[i - 1] == COLOOP:
         return CyclicInterval.full(pi.n)

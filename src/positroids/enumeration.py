@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 from .cyclic import members_of
 from .decorated import COLOOP, LOOP, DecoratedPermutation, necklace_masks
 from .lpm import Lpm, lpm_bases
-from .matroids import _basis_bits, flat_table, necklace_rank_table
+from .matroids import _basis_bits, flat_table, packed_rank_table
 from .matroids import positroid_of  # noqa: F401  perfbench/test_bench.py expects the name here
 
 DEFAULT_MAX_N = 8
@@ -125,8 +125,8 @@ def elementary_flag_pairs(
     Flat containment decides every candidate: a matroid is a quotient of
     another exactly when each of its flats is a flat of the other (Oxley,
     Matroid Theory, Prop. 7.3.6).  Each sigma and pi gets one
-    ``flat_table`` of the packed rank table that ``necklace_rank_table``
-    builds from ``necklace_masks``, with no ``Matroid``, and a candidate is
+    ``flat_table`` of the ``packed_rank_table`` of the ``_basis_bits`` of
+    its ``necklace_masks``, with no ``Matroid``, and a candidate is
     kept when sigma's flats AND NOT pi's is 0.  A pi's table is built at its
     first candidate and kept in a dict that dies with the generator.  A
     table serves about 7 (pi on (2, 6)) to 85 (sigma on (3, 7)) candidates;
@@ -153,7 +153,7 @@ def elementary_flag_pairs(
     plans = _unrotation_plans(n)
 
     def flats(dp: DecoratedPermutation, rank: int) -> int:
-        return flat_table(n, necklace_rank_table(n, rank, necklace_masks(dp.perm, dp.col)))
+        return flat_table(n, packed_rank_table(n, _basis_bits(n, rank, necklace_masks(dp.perm, dp.col))))
 
     tables: dict[int, int] = {}  # position of pi -> its flat table, built at its first candidate
     for sigma in all_decorated_permutations(n, max_n, rank=k - 1):

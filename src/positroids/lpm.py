@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from operator import le
 from typing import Iterable
 
-from .cyclic import CACHE_SIZE, check_element, check_ground, check_members, distinct_members
+from .cyclic import CACHE_SIZE, check_element, check_ground, check_members, check_same_ground, distinct_members
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .matroids import Matroid, _cap_rows, _surviving
 from .quotients import QuotientVerdict
@@ -34,8 +34,8 @@ class Lpm:
 
     def __init__(self, n: int, U: Iterable[int], L: Iterable[int]):
         check_ground(n)
-        upper = frozenset(U)
-        lower = frozenset(L)
+        upper = distinct_members(list(U), "U")
+        lower = distinct_members(list(L), "L")
         for x in upper | lower:
             check_element(x, n)
         if len(upper) != len(lower):
@@ -102,8 +102,7 @@ def lpm_quotient_greedy(sub: Lpm, sup: Lpm) -> QuotientVerdict:
     Both difference sequences are increasing, so the pairing is forced, and
     as every Lpm has |U| = |L| they are equally long.
     """
-    if sub.n != sup.n:
-        raise ValueError("ground-set mismatch")
+    check_same_ground(sub, sup)
     if not sub.U <= sup.U:
         return QuotientVerdict(False, {"type": "containment", "which": "U"})
     if not sub.L <= sup.L:
@@ -129,8 +128,7 @@ def lpm_quotient_containment(sub: Lpm, sup: Lpm) -> QuotientVerdict:
     For lattice path matroids this is equivalent to the quotient relation
     (and to the pairing criterion); either containment alone is not enough.
     """
-    if sub.n != sup.n:
-        raise ValueError("ground-set mismatch")
+    check_same_ground(sub, sup)
     a, b = sub.decorated_permutation, sup.decorated_permutation
     for kind, x, y in (("necklace", a.necklace, b.necklace), ("conecklace", a.conecklace, b.conecklace)):
         for i, (s, t) in enumerate(zip(x.masks, y.masks), start=1):

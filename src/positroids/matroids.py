@@ -11,10 +11,10 @@ unchecked.  Input off the necklace axioms gets the caps
 all the same: [[1], [3], [1]] gives the one basis {1}.  Rank tables are
 packed ints, one byte field per subset, computed with big-int operations
 over ``byte_table_masks`` and ``subset_max``, which the quotient check
-shares: ``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and
-``necklace_rank_table`` builds the same int from necklace masks for the
-flag-pair sweep, which compares the flats ``flat_table`` marks in it;
-circuits are packed passes over the independence table it starts from.
+shares: ``Matroid.rank_table`` is ``packed_rank_table`` as bytes, and the
+flag-pair sweep takes the same int of the ``_basis_bits`` of necklace
+masks and compares the flats ``flat_table`` marks in it; circuits are
+packed passes over the independence table it starts from.
 The necklace and conecklace are the masks ``cyclic.gale_extrema`` finds,
 taken unchecked; ``is_valid``, for outside input, checks exchange pairwise.
 """
@@ -63,7 +63,7 @@ class Matroid:
         if not given:
             raise ValueError("a matroid needs at least one basis")
         check_members(given, n)  # before deduplication, which would hide 1.0 or True behind 1
-        family = set(map(frozenset, given))
+        family = {distinct_members(list(b), "basis") for b in given}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis_masks", canonical_order(map(bits_of, family)))
 
@@ -287,7 +287,7 @@ def packed_rank_table(n: int, basis_masks: Iterable[int]) -> int:
 
 
 # cap tables are cached for ground sets up to this size, where every
-# table together takes 0.47 MB; larger ones are built row by row per call
+# table together takes 0.53 MB; larger ones are built row by row per call
 CACHED_N = 10
 _SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits -> compress selectors
 
@@ -331,21 +331,14 @@ def _cap_table(n: int, k: int) -> tuple[tuple[int, ...], tuple]:
     operations.
 
     Only ``_cap_rows`` calls it, and only for n <= ``CACHED_N``.  Build
-    time and footprint, Python 3.11: 0.06 ms and 5 KB at (6, 3), 0.2 ms and
-    10 KB at (8, 4), 0.5 ms and 31 KB at (10, 5).  The 32 tables the cache
-    holds cover every rank of every n from 6 to 8 at once (24 keys, 0.13 MB
-    together), and every table with n <= 10 together is 0.47 MB, which
+    time and footprint, Python 3.11: 0.06 ms and 5 KB at (6, 3), 0.15 ms and
+    14 KB at (8, 4), 0.4 ms and 38 KB at (10, 5).  The 32 tables the cache
+    holds cover every rank of every n from 6 to 8 at once (24 keys, 0.14 MB
+    together), and every table with n <= 10 together is 0.53 MB, which
     bounds the cache.
     """
     subset_masks, has = _subsets(n, k)
-    # equal bitsets are stored once: on arcs longer than n - k + t every
-    # subset has more than t members, which matters for k close to n
-    shared: dict[int, int] = {}
-    rows = tuple(
-        tuple(tuple(map(shared.setdefault, caps, caps)) for caps in _arc_caps(has, s, k, len(subset_masks)))
-        for s in range(n)
-    )
-    return subset_masks, rows
+    return subset_masks, tuple(_arc_caps(has, s, k, len(subset_masks)) for s in range(n))
 
 
 def _cap_rows(n: int, k: int) -> tuple[tuple[int, ...], Callable[[int], tuple]]:
@@ -397,12 +390,6 @@ def _basis_bits(n: int, k: int, masks: Iterable[int]) -> tuple[int, ...]:
     if not alive:
         raise ValueError("no subset dominates every necklace entry; invalid necklace")
     return _surviving(subset_masks, alive)
-
-
-def necklace_rank_table(n: int, k: int, masks: Iterable[int]) -> int:
-    """``packed_rank_table`` of the positroid of the rank-k necklace with
-    the given entry masks, from ``_basis_bits``, with no ``Matroid``."""
-    return packed_rank_table(n, _basis_bits(n, k, masks))
 
 
 def bases_from_necklace(necklace: GrassmannNecklace) -> Matroid:

@@ -39,6 +39,8 @@ def test_removed_aliases_are_gone():
     assert not hasattr(positroids.enumeration, "all_positroids")
     assert not hasattr(positroids.enumeration, "FLAG_PAIR_MAX_N")
     assert not hasattr(positroids.quotients, "_gap_is_monotone")
+    assert not hasattr(positroids.quotients, "_check_same_ground")
+    assert not hasattr(positroids.matroids, "necklace_rank_table")
     assert not hasattr(positroids.cyclic, "cyclic_leq")
     assert not hasattr(positroids.cyclic, "cyclic_sorted")
     assert not hasattr(positroids.CyclicInterval, "from_json")

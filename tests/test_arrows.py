@@ -108,6 +108,18 @@ class TestRankFormulas:
         with pytest.raises(ValueError, match=f"^{message}$"):
             rank(dp, argument)
 
+    @pytest.mark.parametrize(
+        "rank, subset, message",
+        [
+            (cw_function, {9}, r"element 9 out of range 1\.\.2"),
+            (rank_upper_bound, {1, 2}, "the bound is stated for proper subsets only"),
+        ],
+        ids=["cw-out-of-range", "bound-full-set"],
+    )
+    def test_subset_fault_is_named_before_coloops(self, rank, subset, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rank(DecoratedPermutation((1, 2), (-1, 1)), subset)
+
     def test_empty_interval(self):
         assert rank_cyclic_interval(DP_P, CyclicInterval.empty(6)) == 0
 

@@ -4,6 +4,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import support
+from positroids import (
+    Lpm,
+    containment_check,
+    exists_shift,
+    is_quotient_circuits,
+    is_quotient_rank,
+    lpm_quotient_containment,
+    lpm_quotient_greedy,
+    oh_xiang_condition,
+    rank_cyclic_interval,
+    shift_interval,
+    uniform_dp,
+    uniform_matroid,
+)
 from positroids.cyclic import (
     CyclicInterval,
     arc_mask,
@@ -219,6 +233,39 @@ class TestElementChecks:
         with pytest.raises(ValueError) as exc:
             check_element(value, 5)
         assert str(exc.value) == f"element {shown} out of range 1..5"
+
+
+class TestSameGround:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: rank_cyclic_interval(uniform_dp(3, 6), CyclicInterval.arc(5, 1, 2)),
+            lambda: uniform_dp(3, 6).necklace.contains_entrywise(uniform_dp(2, 5).necklace),
+            lambda: shift_interval(uniform_dp(3, 6), uniform_dp(2, 5), 1),
+            lambda: lpm_quotient_greedy(Lpm(5, {1}, {5}), Lpm(6, {1, 2}, {5, 6})),
+            lambda: lpm_quotient_containment(Lpm(5, {1}, {5}), Lpm(6, {1, 2}, {5, 6})),
+            lambda: is_quotient_rank(uniform_matroid(2, 5), uniform_matroid(3, 6)),
+            lambda: is_quotient_circuits(uniform_matroid(2, 5), uniform_matroid(3, 6)),
+            lambda: exists_shift(uniform_dp(3, 6), uniform_dp(2, 5)),
+            lambda: oh_xiang_condition(uniform_dp(2, 5), uniform_dp(3, 6)),
+            lambda: containment_check(uniform_dp(2, 5), uniform_dp(3, 6)),
+        ],
+        ids=[
+            "rank_cyclic_interval",
+            "contains_entrywise",
+            "shift_interval",
+            "lpm_quotient_greedy",
+            "lpm_quotient_containment",
+            "is_quotient_rank",
+            "is_quotient_circuits",
+            "exists_shift",
+            "oh_xiang_condition",
+            "containment_check",
+        ],
+    )
+    def test_two_ground_sets_are_refused(self, check):
+        with pytest.raises(ValueError, match="^ground-set mismatch$"):
+            check()
 
 
 class TestCyclicInterval:

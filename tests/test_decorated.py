@@ -207,6 +207,13 @@ class TestNecklaces:
         with pytest.raises(ValueError, match=f"^{message}$"):
             GrassmannNecklace(n, k, entries)
 
+    def test_repeated_member_is_refused_as_in_json(self):
+        entries = [[1, 1], [2, 3], [3, 1]]
+        json = {"k": 2, "entries": entries}
+        for build in (lambda: GrassmannNecklace(3, 2, entries), lambda: GrassmannNecklace.from_json(json)):
+            with pytest.raises(ValueError, match=r"^entry \[1, 1\] repeats an element$"):
+                build()
+
     @pytest.mark.parametrize("k", [True, 1.0])
     def test_non_int_rank_refused(self, k):
         with pytest.raises(ValueError, match=rf"^k {k!r} is not an integer$"):

@@ -43,6 +43,11 @@ class TestConstruction:
             Lpm(5, [10**5000], [1])
         assert str(got.value) == "element int of 16610 bits out of range 1..5"
 
+    def test_repeated_member_is_refused_as_in_json(self):
+        for build in (lambda: Lpm(5, [1, 1], [2, 2]), lambda: Lpm.from_json({"n": 5, "U": [1, 1], "L": [2, 2]})):
+            with pytest.raises(ValueError, match=r"^U \[1, 1\] repeats an element$"):
+                build()
+
     def test_json_round_trip(self):
         assert Lpm.from_json(SUB.to_json()) == SUB
         assert SUB.to_json() == {"n": 7, "U": [1, 4], "L": [5, 7]}

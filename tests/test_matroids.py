@@ -62,6 +62,11 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"^element (1\.0|True) out of range 1\.\.2$"):
             Matroid(2, bases)
 
+    def test_repeated_member_is_refused_as_in_json(self):
+        for build in (lambda: Matroid(5, [[1, 1, 2]]), lambda: Matroid.from_json({"n": 5, "bases": [[1, 1, 2]]})):
+            with pytest.raises(ValueError, match=r"^basis \[1, 1, 2\] repeats an element$"):
+                build()
+
     def test_basis_masks_match_checked_masks(self):
         for m in (P5, uniform_matroid(2, 4), Matroid(3, [frozenset()])):
             assert m.basis_masks == tuple(mask_of(b, m.n) for b in m.bases)
@@ -288,7 +293,7 @@ class TestKernelsAgainstOracles:
     @staticmethod
     def _check_sweep_rank_table(dp):
         # the packed table the flag sweep builds from necklace masks alone
-        table = matroids.necklace_rank_table(dp.n, dp.rank, necklace_masks(dp.perm, dp.col))
+        table = matroids.packed_rank_table(dp.n, matroids._basis_bits(dp.n, dp.rank, necklace_masks(dp.perm, dp.col)))
         assert table == int.from_bytes(positroid_of(dp).rank_table, "little"), dp
 
     def test_sweep_rank_tables_exhaustive_up_to_six(self, dps):
