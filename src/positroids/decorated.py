@@ -112,7 +112,7 @@ class GrassmannNecklace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GrassmannNecklace":
-        entries = [distinct_members(e, "entry") for e in json_list(obj["entries"], "entries")]
+        entries = [json_list(e, "entry") for e in json_list(obj["entries"], "entries")]
         return cls(len(entries), obj["k"], tuple(entries))
 
 

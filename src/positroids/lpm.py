@@ -18,7 +18,8 @@ from functools import cached_property, lru_cache
 from operator import le
 from typing import Iterable
 
-from .cyclic import CACHE_SIZE, check_element, check_ground, check_members, check_same_ground, distinct_members
+from .cyclic import CACHE_SIZE, check_element, check_ground, check_members, check_same_ground
+from .cyclic import distinct_members, json_list
 from .decorated import COLOOP, LOOP, DecoratedPermutation
 from .matroids import Matroid, _cap_rows, _surviving
 from .quotients import QuotientVerdict
@@ -56,7 +57,7 @@ class Lpm:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Lpm":
-        return cls(obj["n"], distinct_members(obj["U"], "U"), distinct_members(obj["L"], "L"))
+        return cls(obj["n"], json_list(obj["U"], "U"), json_list(obj["L"], "L"))
 
     @cached_property
     def decorated_permutation(self) -> DecoratedPermutation:

@@ -214,6 +214,12 @@ class TestNecklaces:
             with pytest.raises(ValueError, match=r"^entry \[1, 1\] repeats an element$"):
                 build()
 
+    def test_json_repeat_is_checked_after_the_rank(self):
+        # from_json hands the lists on, so the constructor's order decides
+        for k, message in ((True, "k True is not an integer"), (3, "rank 3 out of range for n=2")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GrassmannNecklace.from_json({"k": k, "entries": [[1, 1], [2, 1]]})
+
     @pytest.mark.parametrize("k", [True, 1.0])
     def test_non_int_rank_refused(self, k):
         with pytest.raises(ValueError, match=rf"^k {k!r} is not an integer$"):

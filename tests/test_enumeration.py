@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import support
@@ -41,11 +43,26 @@ class TestDecoratedPermutationCensus:
         assert keys == sorted(keys)
 
     def test_rank_filter_matches_full_stream(self):
-        for n in range(1, 8):
+        # the rank=None scan is the oracle of the rank-k walk, order included
+        for n in range(1, 9):
             full = list(all_decorated_permutations(n))
             for k in range(n + 1):
                 expected = [dp for dp in full if dp.rank == k]
                 assert list(all_decorated_permutations(n, rank=k)) == expected
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_sparse_ranks_beyond_the_bound(self, n):
+        # a rank-1 matroid is fixed by its nonempty set of non-loops and is a
+        # positroid, so rank 1 (and by duality rank n - 1) has 2^n - 1 of them
+        for k, count in ((0, 1), (1, 2**n - 1), (n - 1, 2**n - 1), (n, 1)):
+            census = list(all_decorated_permutations(n, max_n=n, rank=k))
+            assert len(census) == count
+            assert len(set(census)) == count
+            assert all(dp.is_valid() and dp.rank == k for dp in census)
+
+    def test_is_a_generator_function(self):
+        # perfbench's tracer times the resumptions of generator functions
+        assert inspect.isgeneratorfunction(enumeration.all_decorated_permutations)
 
     def test_rank_out_of_range(self):
         for k in (-1, 4):

@@ -48,6 +48,11 @@ class TestConstruction:
             with pytest.raises(ValueError, match=r"^U \[1, 1\] repeats an element$"):
                 build()
 
+    def test_json_repeat_is_checked_after_the_ground_set(self):
+        # from_json hands the lists on, so the constructor's order decides
+        with pytest.raises(ValueError, match=r"^ground set size must be an integer in 1\.\.64, got 0$"):
+            Lpm.from_json({"n": 0, "U": [1, 1], "L": [2, 3]})
+
     def test_json_round_trip(self):
         assert Lpm.from_json(SUB.to_json()) == SUB
         assert SUB.to_json() == {"n": 7, "U": [1, 4], "L": [5, 7]}
