@@ -11,6 +11,10 @@ each target comes from it, but a matroid to a matroid prints as parsed.
 ``enumerate`` takes its kinds from ``enumeration.CENSUS_KINDS`` and its
 default bound from ``enumeration.DEFAULT_MAX_N``; ``census_records`` checks
 both before the ``--out`` file is opened.
+
+``main`` parses with one parser per process, built on its first call and kept
+(``_parser``), so a caller that runs many commands in process pays for the
+argparse build once.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .arrows import ccw_arrows, cw_arrows
 from .cyclic import shown
@@ -225,6 +230,8 @@ def _cmd_verify_paper(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a fresh parser on every call, so a caller may change it without
+    touching the one ``main`` keeps."""
     parser = argparse.ArgumentParser(
         prog="positroids",
         description="Positroid representations, quotient criteria, and exhaustive censuses.",
@@ -282,10 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.  The parser is built once per
+    process, on the first call, and every later call reuses it."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exc.code or 0)

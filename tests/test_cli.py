@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from positroids import all_decorated_permutations, all_lpms, uniform_dp
+from positroids import all_decorated_permutations, all_lpms, cli, uniform_dp
 from positroids.cli import main
 
 
@@ -565,3 +565,49 @@ class TestExitCodeDiscipline:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestSharedParser:
+    """``main`` keeps one parser per process; no call may see another's options."""
+
+    DP = "1o 6 5 4o 2 3 7c"
+
+    def first(self, capsys, *argv):
+        """What argv gives as the first call of a process: run on a new parser."""
+        cli._parser.cache_clear()
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "earlier, later",
+        [
+            (("enumerate", "--what", "dps", "--k", "1", "--n", "3"), ("enumerate", "--what", "dps", "--n", "3")),
+            (("shift", "--dp", DP, "--freeze", "1"), ("shift", "--dp", DP)),
+            (
+                ("convert", "--from", "dp", "--to", "dp", "--input", DP, "--json"),
+                ("convert", "--from", "dp", "--to", "dp", "--input", DP),
+            ),
+        ],
+    )
+    def test_a_later_call_keeps_no_option_of_an_earlier_one(self, capsys, earlier, later):
+        expected = self.first(capsys, *later)
+        assert expected[0] == 0 and expected[1]
+        cli._parser.cache_clear()
+        assert run(capsys, *earlier)[0] == 0
+        assert run(capsys, *later) == expected
+
+    @pytest.mark.parametrize(
+        "between, code",
+        [(("shift", "--freeze", "1"), 2), (("frobnicate",), 2), (("--help",), 0), (("shift", "--help"), 0)],
+    )
+    def test_a_usage_error_or_help_between_calls_changes_nothing(self, capsys, between, code):
+        argv = ("shift", "--dp", self.DP, "--freeze", "2,4,7")
+        expected = self.first(capsys, *argv)
+        assert run(capsys, *between)[0] == code
+        assert run(capsys, *argv) == expected
+
+    def test_the_parser_is_built_once(self, capsys):
+        run(capsys, "shift", "--dp", "2 1")
+        run(capsys, "shift", "--dp", "2 1")
+        info = cli._parser.cache_info()
+        assert info.misses <= 1 and info.hits >= 1
+        assert cli.build_parser() is not cli.build_parser()
